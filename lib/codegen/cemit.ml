@@ -15,9 +15,11 @@
      class: all-equal lists fold into constants (or a bare add for 1, or
      nothing for 0), zero/one lists become bitmask-predicated conditional
      adds, repeating lists store one period, decayed lists truncate at the
-     zero tail, dense lists keep the full static table.  Operation order
-     mirrors [Multicore.run_sequential_k], so results are bitwise
-     identical to the sequential-fallback backend at the same chunk size.
+     zero tail, dense lists keep the full static table.  Chunks are
+     corrected in order from the previous chunk's corrected tail, which
+     is bitwise the multicore backend's promoted carry, so results are
+     bitwise identical to the sequential-fallback backend at the same
+     chunk size.
 
    Float arithmetic is emitted against IEEE binary64 with one explicit
    [(double)(float)] rounding step per operation for the F32 emulation;

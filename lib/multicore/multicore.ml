@@ -5,21 +5,14 @@ module Trace = Plr_trace.Trace
 module Buf = Plr_util.Buf
 module A1 = Bigarray.Array1
 
-exception Fault_detected of string
-(* Raised (outside the functor, so one identity for every scalar instance)
-   when an injected fault makes forward progress impossible — e.g. a carry
-   publication that was dropped: the real protocol would spin on it
-   forever, so the deterministic pipeline fails loudly instead. *)
+module Lookback = Plr_exec.Lookback
+
+exception Fault_detected = Lookback.Fault_detected
 
 module Opts = Plr_factors.Opts
 
-(* Look-back window of the deterministic faulted pipeline: chunk [c] reads
-   the inclusive (global) carries of the last chunk of the previous window
-   and the aggregates (local carries) of every chunk after it.  Small so a
-   few hundred elements span several waves in the chaos tests. *)
-let faulted_lookback_window = 4
-
-let default_window ~pool_size = max faulted_lookback_window (2 * pool_size)
+let faulted_lookback_window = Lookback.faulted_lookback_window
+let default_window = Lookback.default_window
 
 (* Monomorphic fused chunk solve on unboxed float64 storage.  The FIR part
    reads the immutable input (including the tail of the previous chunk)
@@ -80,7 +73,6 @@ let solve_chunk_i ~(forward : int array) ~(feedback : int array)
   done
 
 module Make (S : Plr_util.Scalar.S) = struct
-  module Serial = Plr_serial.Serial.Make (S)
   module FP = Plr_factors.Factor_plan.Make (S)
 
   (* CPU chunks are orders of magnitude longer than a GPU block's, so the
@@ -88,23 +80,7 @@ module Make (S : Plr_util.Scalar.S) = struct
      period the code generator folds. *)
   let cpu_max_period = 64
 
-  (* Chunk-size policy.  Chunks below [min_chunk_size] lose more to
-     protocol overhead than they gain in parallelism; with
-     [chunks_per_domain] chunks per participant the dynamic counter can
-     balance uneven progress without shrinking chunks further.  These are
-     the heuristic defaults — a measured [Plr_core.Tune] search can beat
-     them and its winners are threaded through [?chunk_size]/[?window]. *)
-  let min_chunk_size = 1024
-  let chunks_per_domain = 8
-  let default_chunk_size ~domains n =
-    max min_chunk_size (n / (domains * chunks_per_domain))
-
-  (* The sequential fallback still chunks (identical algorithm, different
-     schedule); [fallback_chunks] fixes the chunk count from the input
-     length alone so the fallback no longer pretends to have 4 domains. *)
-  let fallback_chunks = 8
-  let fallback_chunk_size n =
-    max min_chunk_size ((n + fallback_chunks - 1) / fallback_chunks)
+  let default_chunk_size = Lookback.default_chunk_size
 
   let poison =
     match S.kind with
@@ -136,13 +112,15 @@ module Make (S : Plr_util.Scalar.S) = struct
       y.(i) <- !acc
     done
 
-  (* Phase 2's look-back math on the CPU: promote the local (aggregate)
+  (* Phase 2's carry algebra on the CPU: promote the local (aggregate)
      carries of a chunk to global (inclusive) carries given the global
      carries of its predecessor.  Carry j is element m-1-j of the chunk,
      so the factors at position m-1-j correct it; every consumed
      predecessor is a full-length chunk (only the last chunk can be
-     short, and nothing looks back at it). *)
-  let combine fp ~k ~m ~local ~g_prev =
+     short, and nothing looks back at it).  The corrections add in the
+     same order as the sweep, so a promoted carry is bitwise the
+     corrected element. *)
+  let combine fp ~k ~m local g_prev =
     Array.init k (fun j ->
         let q = m - 1 - j in
         let acc = ref local.(j) in
@@ -151,9 +129,25 @@ module Make (S : Plr_util.Scalar.S) = struct
         done;
         !acc)
 
-  let read_carries y ~base ~len ~k =
-    Array.init k (fun j ->
-        if len - 1 - j >= 0 then y.(base + len - 1 - j) else S.zero)
+  (* The k-vector carry of the shared look-back protocol. *)
+  module Carry = struct
+    type t = S.t array
+
+    let cat = Trace.Multicore
+    let run_span = "mc.run"
+    let chunk_span = "mc.chunk"
+    let lookback_span = "mc.lookback"
+    let publish_event = "mc.publish"
+    let correct_span = Some "mc.correct"
+
+    let corrupt ~lane v =
+      let v = Array.copy v in
+      let j = lane mod Array.length v in
+      v.(j) <- corrupt v.(j);
+      v
+  end
+
+  module L = Lookback.Make (Carry)
 
   (* A caller-supplied precompiled factor plan (the serve layer's plan
      cache) is reusable whenever it was compiled from the same feedback
@@ -171,414 +165,152 @@ module Make (S : Plr_util.Scalar.S) = struct
         fp
     | _ -> FP.of_feedback ~opts ~max_period:cpu_max_period ~feedback ~m ()
 
-  (* The chunk-level operations of one run, specialized to the storage the
-     scalar representation admits: unboxed [Buf.t] for floats, flat
-     [int array] for native ints, boxed [S.t array] otherwise.  The
-     look-back schedules below are written once against this record, so
-     every storage backend runs the identical protocol. *)
-  type chunk_kernel = {
-    ksolve : base:int -> len:int -> unit;
-    ksweep : FP.t -> j:int -> carry:S.t -> base:int -> len:int -> unit;
-    kcarry : base:int -> len:int -> j:int -> S.t;
-  }
+  let carry_equal =
+    let eq = Lookback.scalar_equal S.rep in
+    fun u v -> Array.for_all2 eq u v
 
-  let generic_kernel ~forward ~feedback x y =
+  (* The chunk operations of one run over its storage's kernels — unboxed
+     [Buf.t] for floats, flat [int array] for native ints, boxed
+     [S.t array] otherwise: [solve] the fused local pass, [sweep] one
+     factor list's correction, [get] an output element.  [poison] writes
+     the faulted replay's garbage into the solved chunk before its carries
+     are extracted. *)
+  let lookback_ops ?(poison = fun ~base:_ ~len:_ -> ()) fp ~k ~m ~solve ~sweep
+      ~get =
+    let carries ~base ~len =
+      Array.init k (fun j ->
+          if len - 1 - j >= 0 then get (base + len - 1 - j) else S.zero)
+    in
     {
-      ksolve = (fun ~base ~len -> solve_chunk_fused ~forward ~feedback x y ~base ~len);
-      ksweep = (fun fp ~j ~carry ~base ~len -> FP.apply_list fp ~j ~carry y ~base ~len);
-      kcarry =
-        (fun ~base ~len ~j ->
-          if len - 1 - j >= 0 then y.(base + len - 1 - j) else S.zero);
+      L.local =
+        (fun ~base ~len ->
+          solve ~base ~len;
+          carries ~base ~len);
+      combine = combine fp ~k ~m;
+      apply =
+        (fun ~base ~len g ->
+          for j = 0 to k - 1 do
+            sweep fp ~j ~carry:g.(j) ~base ~len
+          done);
+      equal = carry_equal;
+      poison =
+        (fun ~base ~len _ ->
+          poison ~base ~len;
+          carries ~base ~len);
+      correct_arg = (if k > 0 then FP.class_code fp 0 else -1);
     }
 
-  (* Sequential schedule of the same single-pass algorithm: chunks run in
-     order, so each chunk is corrected immediately and its global carries
-     are simply its last k corrected elements — no combine chain at all.
-     One [g_prev] scratch array is reused across all chunks (the per-chunk
-     [read_carries] allocation used to show up in the trace self-profile).
-     Used for one-domain pools and as the guard's fallback stage. *)
-  let run_sequential_k ~cancel ~fp ~kernel ~n ~m ~k () =
-    let chunks = (n + m - 1) / m in
-    let g_prev = Array.make k S.zero in
-    let have_prev = ref false in
-    for c = 0 to chunks - 1 do
-      Cancel.check cancel;
-      let base = c * m in
-      let len = min m (n - base) in
-      Trace.begin_span2 Trace.Multicore "mc.chunk" c len;
-      kernel.ksolve ~base ~len;
-      if !have_prev then
-        for j = 0 to k - 1 do
-          kernel.ksweep fp ~j ~carry:g_prev.(j) ~base ~len
-        done;
-      if c < chunks - 1 then begin
-        for j = 0 to k - 1 do
-          g_prev.(j) <- kernel.kcarry ~base ~len ~j
-        done;
-        have_prev := true
-      end;
-      Trace.end_span ()
-    done
-
-  (* The single-pass decoupled look-back schedule (Merrill–Garland,
-     PAPERS.md) on the persistent pool.  One task per chunk; each task
-
-     1. solves its chunk locally (fused FIR + feedback, in place);
-     2. publishes its local carries and flags itself [`Aggregate`];
-     3. looks back: reads the inclusive carries of the last chunk of the
-        previous window, then folds the aggregates of the chunks between
-        that boundary and itself through [combine];
-     4. publishes its own inclusive carries and flags itself
-        [`Inclusive`] — *before* step 5, so successors never wait on a
-        correction sweep;
-     5. applies the correction sweep to its own chunk.
-
-     Status flags are the only atomics; carry payloads are plain writes
-     made visible by the release/acquire pair on the flag ([Atomic.set]
-     after the writes, [Atomic.get] before the reads).  Progress: the
-     pool claims task indices in increasing order, so the lowest
-     incomplete chunk only ever waits on chunks that are already past
-     their publication point. *)
-  let status_aggregate = 1
-  let status_inclusive = 2
-
-  let run_pooled_k ?window ~cancel ~pool ~fp ~kernel ~n ~m ~k () =
-    let chunks = (n + m - 1) / m in
-    let locals = Array.make (chunks * k) S.zero in
-    let globals = Array.make (chunks * k) S.zero in
-    let status = Array.init chunks (fun _ -> Atomic.make 0) in
-    let window =
-      match window with
-      | Some w -> max 1 w
-      | None -> default_window ~pool_size:(Pool.size pool)
-    in
-    let wait c v =
-      while Atomic.get status.(c) < v do
-        if Pool.cancelled pool then raise Pool.Stopped;
-        Domain.cpu_relax ()
-      done
-    in
-    let read a c = Array.init k (fun j -> a.((c * k) + j)) in
-    let write a c v = Array.blit v 0 a (c * k) k in
-    let task c =
-      (* Chunk boundary is the cooperative preemption point: a fired
-         deadline aborts here instead of solving another whole chunk. *)
-      Cancel.check cancel;
-      let base = c * m in
-      let len = min m (n - base) in
-      Trace.begin_span2 Trace.Multicore "mc.chunk" c len;
-      kernel.ksolve ~base ~len;
-      let local = Array.init k (fun j -> kernel.kcarry ~base ~len ~j) in
-      if c = 0 then begin
-        write locals 0 local;
-        write globals 0 local;
-        Atomic.set status.(0) status_inclusive;
-        Trace.instant Trace.Multicore "mc.publish" 0 status_inclusive
-      end
-      else begin
-        write locals c local;
-        Atomic.set status.(c) status_aggregate;
-        Trace.instant Trace.Multicore "mc.publish" c status_aggregate;
-        let boundary = (c / window * window) - 1 in
-        let depth =
-          c - max 0 (boundary + 1) + (if boundary >= 0 then 1 else 0)
-        in
-        Trace.begin_span2 Trace.Multicore "mc.lookback" c depth;
-        let g_prev =
-          ref
-            (if boundary >= 0 then begin
-               wait boundary status_inclusive;
-               read globals boundary
-             end
-             else [||])
-        in
-        for t = max 0 (boundary + 1) to c - 1 do
-          wait t status_aggregate;
-          let lt = read locals t in
-          g_prev := (if !g_prev = [||] then lt else combine fp ~k ~m ~local:lt ~g_prev:!g_prev)
-        done;
-        let g_prev = !g_prev in
-        write globals c (combine fp ~k ~m ~local ~g_prev);
-        Atomic.set status.(c) status_inclusive;
-        Trace.end_span ();
-        Trace.instant Trace.Multicore "mc.publish" c status_inclusive;
-        Trace.begin_span2 Trace.Multicore "mc.correct" c
-          (if k > 0 then FP.class_code fp 0 else -1);
-        for j = 0 to k - 1 do
-          kernel.ksweep fp ~j ~carry:g_prev.(j) ~base ~len
-        done;
-        Trace.end_span ()
-      end;
-      Trace.end_span ()
-    in
-    Pool.run ~cancel pool ~tasks:chunks task
-
   (* Storage-agnostic driver: resolve the factor plan once, then run the
-     schedule the pool size selects.  [chunks = 1] needs neither a plan
-     nor the protocol — the fused solve is the whole answer. *)
-  let run_kernel ?plan ?window ~cancel ~opts ~pool ~feedback ~n ~m ~k ~kernel
-      () =
-    let chunks = (n + m - 1) / m in
-    if chunks = 1 then begin
+     look-back protocol.  A single chunk needs neither a plan nor the
+     protocol — the fused solve is the whole answer. *)
+  let run_kernel ?plan ?window ~cancel ~opts ~pool ~feedback ~n ~m ~k ~solve
+      ~sweep ~get () =
+    if n <= m then begin
       Cancel.check cancel;
-      kernel.ksolve ~base:0 ~len:n
+      solve ~base:0 ~len:n
     end
-    else begin
+    else
       let fp = resolve_plan ?plan ~opts ~feedback ~m ~k () in
-      if Pool.size pool = 1 then run_sequential_k ~cancel ~fp ~kernel ~n ~m ~k ()
-      else run_pooled_k ?window ~cancel ~pool ~fp ~kernel ~n ~m ~k ()
-    end
-
-  (* Unboxed float64 core: build the monomorphic kernel in a context where
-     matching the representation witness has refined [S.t] to [float].
-     Raises for non-float scalars (the public entry points dispatch). *)
-  let run_float_core ?plan ?window ~cancel ~opts ~pool
-      ~(forward : S.t array) ~(feedback : S.t array) ~n ~m ~k (x : Buf.t)
-      (y : Buf.t) =
-    match S.rep with
-    | Plr_util.Scalar.Float_rep rounding ->
-        let f32 = rounding = Plr_util.Scalar.Round_f32 in
-        let kernel =
-          {
-            ksolve =
-              (fun ~base ~len ->
-                solve_chunk_f ~f32 ~forward ~feedback x y ~base ~len);
-            ksweep =
-              (fun fp ~j ~carry ~base ~len ->
-                FP.apply_list_f fp ~j ~carry y ~base ~len);
-            kcarry =
-              (fun ~base ~len ~j ->
-                if len - 1 - j >= 0 then A1.unsafe_get y (base + len - 1 - j)
-                else S.zero);
-          }
-        in
-        run_kernel ?plan ?window ~cancel ~opts ~pool ~feedback ~n ~m ~k ~kernel
-          ()
-    | _ -> invalid_arg "Multicore.run_float_core: not a float scalar"
-
-  let run_int_core ?plan ?window ~cancel ~opts ~pool ~(forward : S.t array)
-      ~(feedback : S.t array) ~n ~m ~k (x : S.t array) (y : S.t array) =
-    match S.rep with
-    | Plr_util.Scalar.Int_rep ->
-        let kernel =
-          {
-            ksolve =
-              (fun ~base ~len -> solve_chunk_i ~forward ~feedback x y ~base ~len);
-            ksweep =
-              (fun fp ~j ~carry ~base ~len ->
-                FP.apply_list_int fp ~j ~carry y ~base ~len);
-            kcarry =
-              (fun ~base ~len ~j ->
-                if len - 1 - j >= 0 then Array.unsafe_get y (base + len - 1 - j)
-                else S.zero);
-          }
-        in
-        run_kernel ?plan ?window ~cancel ~opts ~pool ~feedback ~n ~m ~k ~kernel
-          ()
-    | _ -> invalid_arg "Multicore.run_int_core: not an int scalar"
-
-  (* Deterministic faulted pipeline for the chaos harness: the same
-     windowed look-back protocol executed sequentially under the fault
-     plan's completion permutation, with publication *visibility* gated
-     by Drop events.  A chunk is runnable when every publication it would
-     spin on is visible; when no incomplete chunk is runnable the real
-     protocol would spin forever, so we raise [Fault_detected] instead.
-     Drops that the window never reads (an aggregate nobody folds over, an
-     inclusive flag off a window boundary) are routed around by the
-     look-back exactly as on the modeled GPU — the run stays bit-exact.
-     [Delay_flag] is benign by construction in this untimed model.
-     Stays on the boxed kernels on purpose: chaos determinism is pinned
-     against them, and the path is never performance-critical. *)
-  let run_faulted ~opts ~faults ~forward ~feedback x y ~n ~m ~k =
-    let chunks = (n + m - 1) / m in
-    let fp = FP.of_feedback ~opts ~max_period:cpu_max_period ~feedback ~m () in
-    let locals = Array.make chunks [||] in
-    let globals = Array.make chunks [||] in
-    let local_vis = Array.make chunks false in
-    let global_vis = Array.make chunks false in
-    let finished = Array.make chunks false in
-    let w = faulted_lookback_window in
-    let boundary c = (c / w * w) - 1 in
-    let ready c =
-      c = 0
-      || begin
-           let b = boundary c in
-           (b < 0 || global_vis.(b))
-           && begin
-                let ok = ref true in
-                for t = max 0 (b + 1) to c - 1 do
-                  if not local_vis.(t) then ok := false
-                done;
-                !ok
-              end
-         end
-    in
-    let run_chunk c =
-      let base = c * m in
-      let len = min m (n - base) in
-      solve_chunk_fused ~forward ~feedback x y ~base ~len;
-      if Faults.events_at faults ~chunks Faults.Poison_chunk c <> [] then begin
-        y.(base) <- poison;
-        y.(base + len - 1) <- poison
-      end;
-      let local = read_carries y ~base ~len ~k in
-      let g_prev =
-        if c = 0 then [||]
-        else begin
-          let b = boundary c in
-          let g = ref (if b >= 0 then globals.(b) else [||]) in
-          for t = max 0 (b + 1) to c - 1 do
-            let lt = locals.(t) in
-            g := (if !g = [||] then lt else combine fp ~k ~m ~local:lt ~g_prev:!g)
-          done;
-          !g
-        end
-      in
-      let gc =
-        if g_prev = [||] then Array.copy local
-        else combine fp ~k ~m ~local ~g_prev
-      in
-      (* Corrupt both published forms after the chunk's own computation,
-         so only successors observe the damage (matching the GPU model). *)
-      List.iter
-        (fun (e : Faults.event) ->
-          let j = e.Faults.lane mod k in
-          local.(j) <- corrupt local.(j);
-          gc.(j) <- corrupt gc.(j))
-        (Faults.events_at faults ~chunks Faults.Corrupt_carry c);
-      locals.(c) <- local;
-      globals.(c) <- gc;
-      if Faults.events_at faults ~chunks Faults.Drop_local c = [] then
-        local_vis.(c) <- true;
-      if Faults.events_at faults ~chunks Faults.Drop_global c = [] then
-        global_vis.(c) <- true;
-      if g_prev <> [||] then
-        for j = 0 to k - 1 do
-          FP.apply_list fp ~j ~carry:g_prev.(j) y ~base ~len
-        done
-    in
-    let order = Faults.permutation faults chunks in
-    let completed = ref 0 in
-    while !completed < chunks do
-      let picked = ref (-1) in
-      Array.iter
-        (fun c -> if !picked < 0 && (not finished.(c)) && ready c then picked := c)
-        order;
-      if !picked < 0 then
-        raise
-          (Fault_detected
-             (Printf.sprintf
-                "look-back stall: %d of %d chunks blocked on carry \
-                 publications that were dropped"
-                (chunks - !completed) chunks))
-      else begin
-        run_chunk !picked;
-        finished.(!picked) <- true;
-        incr completed
-      end
-    done
-
-  let run_with ?(opts = Opts.all_on) ?(faults = Faults.none) ?plan
-      ?(cancel = Cancel.none) ?window ~pool ~chunk_size (s : S.t Signature.t)
-      input =
-    let n = Array.length input in
-    if n = 0 then [||]
-    else begin
-      let k = Signature.order s in
-      (* Chunks must hold at least k elements so carry positions exist. *)
-      let m = max k (min chunk_size n) in
-      let chunks = (n + m - 1) / m in
-      let forward = s.Signature.forward and feedback = s.Signature.feedback in
-      Trace.begin_span2 Trace.Multicore "mc.run" n chunks;
-      let finish () = Trace.end_span () in
-      match
-        if not (Faults.is_none faults) then begin
-          (* Chaos replay stays on the boxed reference kernels. *)
-          let y = Array.make n S.zero in
-          run_faulted ~opts ~faults ~forward ~feedback input y ~n ~m ~k;
-          y
-        end
-        else begin
-          (* Storage dispatch: floats convert to unboxed Buf storage at
-             this API boundary only; native ints run in place on their
-             (already flat) arrays; everything else takes the generic
-             boxed kernels.  All paths run the identical schedule and
-             operation order, so outputs are bitwise identical. *)
-          match S.rep with
-          | Plr_util.Scalar.Float_rep _ ->
-              let x = Buf.of_array input in
-              let y = Buf.create n in
-              run_float_core ?plan ?window ~cancel ~opts ~pool ~forward
-                ~feedback ~n ~m ~k x y;
-              Buf.to_array y
-          | Plr_util.Scalar.Int_rep ->
-              let y = Array.make n S.zero in
-              run_int_core ?plan ?window ~cancel ~opts ~pool ~forward ~feedback
-                ~n ~m ~k input y;
-              y
-          | Plr_util.Scalar.Other_rep ->
-              let y = Array.make n S.zero in
-              run_kernel ?plan ?window ~cancel ~opts ~pool ~feedback ~n ~m ~k
-                ~kernel:(generic_kernel ~forward ~feedback input y) ();
-              y
-        end
-      with
-      | y ->
-          finish ();
-          y
-      | exception e ->
-          finish ();
-          raise e
-    end
+      L.run ?window ~cancel ~pool ~start:None
+        (lookback_ops fp ~k ~m ~solve ~sweep ~get)
+        ~n ~m
 
   let resolve_pool ?pool ?domains () =
     match pool with Some p -> p | None -> Pool.get ?domains ()
 
-  let run ?opts ?faults ?plan ?cancel ?pool ?domains ?chunk_size ?window s
-      input =
-    let pool = resolve_pool ?pool ?domains () in
-    let chunk_size =
-      match (chunk_size, plan) with
-      | Some c, _ -> max 1 c
-      | None, Some (fp : FP.t) ->
-          (* No explicit chunk size: shape the run to the supplied plan so
-             its factor tables cover every chunk. *)
-          max 1 fp.FP.m
-      | None, None ->
-          default_chunk_size ~domains:(Pool.size pool) (Array.length input)
-    in
-    run_with ?opts ?faults ?plan ?cancel ?window ~pool ~chunk_size s input
+  (* No explicit chunk size: shape the run to a supplied plan so its
+     factor tables cover every chunk. *)
+  let resolve_chunk_size ?chunk_size ?plan ~pool n =
+    match (chunk_size, plan) with
+    | Some c, _ -> max 1 c
+    | None, Some (fp : FP.t) -> max 1 fp.FP.m
+    | None, None -> default_chunk_size ~domains:(Pool.size pool) n
 
-  (* Buf-in/Buf-out entry for float scalars: no boxed conversion at all.
-     [dst] is caller-allocated (and reusable across calls — [Stream] keeps
-     one), so a warmed-up run performs no per-element allocation. *)
+  (* Buf-in/Buf-out entry for float scalars, and the unboxed path of
+     [run]: the monomorphic kernels are built where matching the
+     representation witness has refined [S.t] to [float].  [dst] is
+     caller-allocated (and reusable across calls — [Stream] keeps one), so
+     a warmed-up run performs no per-element allocation. *)
   let run_into ?(opts = Opts.all_on) ?plan ?(cancel = Cancel.none) ?pool
       ?domains ?chunk_size ?window (s : S.t Signature.t) ~(src : Buf.t)
       ~(dst : Buf.t) =
     let n = Buf.length src in
     if Buf.length dst < n then invalid_arg "Multicore.run_into: dst too short";
-    if n > 0 then begin
-      let pool = resolve_pool ?pool ?domains () in
-      let k = Signature.order s in
-      let chunk_size =
-        match (chunk_size, plan) with
-        | Some c, _ -> max 1 c
-        | None, Some (fp : FP.t) -> max 1 fp.FP.m
-        | None, None -> default_chunk_size ~domains:(Pool.size pool) n
-      in
-      let m = max k (min chunk_size n) in
-      let chunks = (n + m - 1) / m in
-      let forward = s.Signature.forward and feedback = s.Signature.feedback in
-      Trace.begin_span2 Trace.Multicore "mc.run" n chunks;
-      match
-        run_float_core ?plan ?window ~cancel ~opts ~pool ~forward ~feedback ~n
-          ~m ~k src dst
-      with
-      | () -> Trace.end_span ()
-      | exception e ->
-          Trace.end_span ();
-          raise e
-    end
+    match S.rep with
+    | _ when n = 0 -> ()
+    | Plr_util.Scalar.Float_rep rounding ->
+        let f32 = rounding = Plr_util.Scalar.Round_f32 in
+        let pool = resolve_pool ?pool ?domains () in
+        let k = Signature.order s in
+        (* Chunks must hold at least k elements so carry positions exist. *)
+        let m = max k (min (resolve_chunk_size ?chunk_size ?plan ~pool n) n) in
+        let forward = s.Signature.forward and feedback = s.Signature.feedback in
+        L.traced ~n ~m @@ fun () ->
+        run_kernel ?plan ?window ~cancel ~opts ~pool ~feedback ~n ~m ~k
+          ~solve:(solve_chunk_f ~f32 ~forward ~feedback src dst)
+          ~sweep:(fun fp ~j ~carry -> FP.apply_list_f fp ~j ~carry dst)
+          ~get:(A1.unsafe_get dst : int -> S.t)
+          ()
+    | _ -> invalid_arg "Multicore.run_into: not a float scalar"
+
+  let run_with ?(opts = Opts.all_on) ?(faults = Faults.none) ?plan
+      ?(cancel = Cancel.none) ?window ~pool ~chunk_size (s : S.t Signature.t)
+      (input : S.t array) : S.t array =
+    let n = Array.length input in
+    let unfaulted = Faults.is_none faults in
+    (* Storage dispatch: floats convert to unboxed Buf storage at this API
+       boundary only; native ints run in place on their (already flat)
+       arrays; everything else, and the deterministic faulted replay,
+       takes the generic boxed kernels (chaos determinism is pinned
+       against them).  All paths run the identical schedule and operation
+       order, so outputs are bitwise identical. *)
+    match S.rep with
+    | _ when n = 0 -> [||]
+    | Plr_util.Scalar.Float_rep _ when unfaulted ->
+        let dst = Buf.create n in
+        run_into ~opts ?plan ~cancel ~pool ~chunk_size ?window s
+          ~src:(Buf.of_array input) ~dst;
+        Buf.to_array dst
+    | rep ->
+        let k = Signature.order s in
+        let m = max k (min chunk_size n) in
+        let forward = s.Signature.forward and feedback = s.Signature.feedback in
+        L.traced ~n ~m @@ fun () : S.t array ->
+        let y = Array.make n S.zero in
+        let run =
+          run_kernel ?plan ?window ~cancel ~opts ~pool ~feedback ~n ~m ~k
+        in
+        (match rep with
+        | Plr_util.Scalar.Int_rep when unfaulted ->
+            run
+              ~solve:(solve_chunk_i ~forward ~feedback input y)
+              ~sweep:(fun fp ~j ~carry -> FP.apply_list_int fp ~j ~carry y)
+              ~get:(Array.unsafe_get y : int -> S.t)
+              ()
+        | _ ->
+            let solve = solve_chunk_fused ~forward ~feedback input y
+            and sweep fp ~j ~carry = FP.apply_list fp ~j ~carry y in
+            if unfaulted then run ~solve ~sweep ~get:(Array.get y) ()
+            else
+              let fp =
+                FP.of_feedback ~opts ~max_period:cpu_max_period ~feedback ~m ()
+              in
+              let poison ~base ~len =
+                y.(base) <- poison;
+                y.(base + len - 1) <- poison
+              in
+              L.run_faulted ~faults ~start:None
+                (lookback_ops ~poison fp ~k ~m ~solve ~sweep ~get:(Array.get y))
+                ~n ~m);
+        y
+
+  let run ?opts ?faults ?plan ?cancel ?pool ?domains ?chunk_size ?window s
+      input =
+    let pool = resolve_pool ?pool ?domains () in
+    let chunk_size =
+      resolve_chunk_size ?chunk_size ?plan ~pool (Array.length input)
+    in
+    run_with ?opts ?faults ?plan ?cancel ?window ~pool ~chunk_size s input
 
   let sequential_pool = lazy (Pool.get ~domains:1 ())
 
@@ -586,7 +318,7 @@ module Make (S : Plr_util.Scalar.S) = struct
     let chunk_size =
       match chunk_size with
       | Some c -> max 1 c
-      | None -> fallback_chunk_size (Array.length input)
+      | None -> Lookback.fallback_chunk_size (Array.length input)
     in
     run_with ?opts ~pool:(Lazy.force sequential_pool) ~chunk_size s input
 end

@@ -3,25 +3,21 @@
 
     The paper notes (§7) that the algorithm, the hierarchical
     parallelization, and most optimizations "apply equally to CPUs"; this
-    module is that port.  Since PR 3 it is a *single-pass* engine in the
-    Merrill–Garland decoupled look-back style (the same protocol as
-    [Plr_plr.Engine]'s Phase 2), executed on a persistent
-    {!Plr_exec.Pool}:
+    module is that port: a single-pass engine running the shared
+    decoupled look-back protocol ({!Plr_exec.Lookback}) on a persistent
+    {!Plr_exec.Pool}, instantiated with k-vector carries:
 
-    - the sequence is split into chunks, one pool task per chunk;
-    - each task solves its chunk locally in one fused sweep (the FIR map
-      stage reads the immutable input tail directly, the feedback stage
-      reads only the chunk's own output — no serial pre-pass, no slice
-      copies);
-    - local (aggregate) carries are published through an atomic status
-      flag; each task looks back over a bounded window — the inclusive
-      carries of the previous window's last chunk plus the aggregates
-      published since — and promotes them with the shared n-nacci
-      correction factors;
-    - inclusive (global) carries are published *before* the task's own
-      O(chunk) correction sweep, so the carry chain never waits on a
-      sweep and the old sequential carry loop and its two barriers are
-      gone.
+    - each chunk is solved locally in one fused sweep (the FIR map stage
+      reads the immutable input tail directly, the feedback stage reads
+      only the chunk's own output — no serial pre-pass, no slice copies);
+      its local carries are its last k solved elements;
+    - [combine] promotes local carries to inclusive ones with the shared
+      n-nacci correction factors, adding in the same order as the
+      correction sweep, so a promoted carry is bitwise the corrected
+      element and every pool size — one domain included — gives the same
+      output;
+    - the exclusive carries are applied as the O(chunk) correction sweep,
+      after the chunk's inclusive carries are published.
 
     The correction factors are compiled once per run through the shared
     {!Plr_factors.Factor_plan}, so the CPU hot path inherits the paper's
@@ -31,42 +27,35 @@
 
     {2 Storage}
 
-    The schedules are written once against a per-run chunk kernel and
-    dispatch on {!Plr_util.Scalar.S.rep}: float scalars run on unboxed
-    {!Plr_util.Buf.t} float64 storage (conversion from/to boxed
-    [float array] happens only at the [run] API boundary; {!Make.run_into}
-    skips it entirely), native ints run monomorphic kernels on their
-    already-flat arrays, and every other scalar keeps the generic boxed
-    kernels.  All storage paths execute the identical operation and
-    rounding sequence, so outputs are bitwise identical across them. *)
+    The chunk operations dispatch on {!Plr_util.Scalar.S.rep}: float
+    scalars run on unboxed {!Plr_util.Buf.t} float64 storage (conversion
+    from/to boxed [float array] happens only at the [run] API boundary;
+    {!Make.run_into} skips it entirely), native ints run monomorphic
+    kernels on their already-flat arrays, and every other scalar keeps the
+    generic boxed kernels.  All storage paths execute the identical
+    operation and rounding sequence, so outputs are bitwise identical
+    across them. *)
 
 module Faults = Plr_gpusim.Faults
 module Pool = Plr_exec.Pool
 module Cancel = Plr_exec.Cancel
 
 exception Fault_detected of string
-(** Raised when an injected fault leaves the pipeline unable to make
-    progress (e.g. a dropped carry publication that the look-back window
-    would spin on forever): the engine fails loudly instead of returning
-    silently wrong values. *)
+(** {!Plr_exec.Lookback.Fault_detected}, rebound: a carry failed its
+    before-commit verification, or an injected fault left the protocol
+    unable to make progress. *)
 
 val faulted_lookback_window : int
-(** Window of the deterministic faulted pipeline: chunk [c] reads the
-    inclusive carries of chunk [(c / w) * w - 1] and the aggregates of
-    every chunk in between.  Drops outside that read set are routed
-    around (bit-exact output); drops inside it stall and raise
-    {!Fault_detected}. *)
+(** {!Plr_exec.Lookback.faulted_lookback_window}. *)
 
 val default_window : pool_size:int -> int
-(** The look-back window the pooled schedule uses when [?window] is not
-    given: [max faulted_lookback_window (2 × pool_size)].  A measured
-    tuning ({!Plr_core.Tune}) may override it per run. *)
+(** {!Plr_exec.Lookback.default_window}; a measured tuning
+    ({!Plr_core.Tune}) may override it per run. *)
 
 module Make (S : Plr_util.Scalar.S) : sig
   val default_chunk_size : domains:int -> int -> int
-  (** The chunk size [run] uses when none is given: the input length split
-      into several chunks per participating domain, floored at a minimum
-      size below which protocol overhead dominates. *)
+  (** {!Plr_exec.Lookback.default_chunk_size}: the chunk size [run] uses
+      when none is given. *)
 
   val run :
     ?opts:Plr_factors.Opts.t ->
@@ -96,13 +85,14 @@ module Make (S : Plr_util.Scalar.S) : sig
 
       [faults] (default {!Faults.none}) injects deterministic
       perturbations into the look-back protocol for the chaos harness:
-      with a non-empty plan the chunks run sequentially in a perturbed
-      completion order, poisoned chunks receive garbage values, corrupted
-      carry publications are overwritten after computation, dropped
-      publications make their flags invisible — benign when the window
-      never reads them, {!Fault_detected} when the protocol would stall.
-      With the default plan the code path — and therefore the parallel
-      execution — is exactly the unfaulted algorithm.
+      a non-empty plan runs {!Plr_exec.Lookback.Make.run_faulted} on the
+      boxed kernels — poisoned chunks receive garbage values, corrupted
+      carry publications fail verification inside the window (raising
+      {!Fault_detected}) and diverge at a window boundary, dropped
+      publications are routed around when the window never reads them
+      and raise {!Fault_detected} when the protocol would stall.  With
+      the default plan the code path is exactly the unfaulted
+      algorithm.
 
       [cancel] (default {!Plr_exec.Cancel.none}) is a cooperative
       cancellation token polled at every chunk boundary (and by the pool

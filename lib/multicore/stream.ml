@@ -4,7 +4,9 @@ module A1 = Bigarray.Array1
 module Make (S : Plr_util.Scalar.S) = struct
   module Multicore = Multicore.Make (S)
   module FP = Plr_factors.Factor_plan.Make (S)
+  module Serial = Plr_serial.Serial.Make (S)
   module Pool = Plr_exec.Pool
+  module Lookback = Plr_exec.Lookback
 
   type t = {
     signature : S.t Signature.t;
@@ -15,8 +17,8 @@ module Make (S : Plr_util.Scalar.S) = struct
     opts : Plr_factors.Opts.t;
     carries : S.t array;             (* carry j = j-th from last output *)
     input_tail : S.t array;          (* last taps-1 inputs, most recent last *)
+    mutable pos : int;               (* elements consumed *)
     mutable fplan : FP.t option;     (* compiled factor plan, grown on demand *)
-    mutable started : bool;
     (* Unboxed scratch for the float path, grown geometrically and reused
        across [process] calls: FIR output (the multicore solve's input)
        and the corrected chunk output.  Length 0 for non-float scalars. *)
@@ -40,19 +42,32 @@ module Make (S : Plr_util.Scalar.S) = struct
       opts;
       carries = Array.make k S.zero;
       input_tail = Array.make (max 0 (Signature.fir_taps signature - 1)) S.zero;
+      pos = 0;
       fplan = None;
-      started = false;
       fbuf_in = Buf.create 0;
       fbuf_out = Buf.create 0;
     }
 
   let signature t = t.signature
+  let position t = t.pos
+  let carries t = Array.copy t.carries
+  let input_tail t = Array.copy t.input_tail
+
+  let restore t ~pos ~carries ~input_tail =
+    if
+      Array.length carries <> t.k
+      || Array.length input_tail <> Array.length t.input_tail
+    then invalid_arg "Stream.restore: state shape does not match the signature";
+    Array.blit carries 0 t.carries 0 t.k;
+    Array.blit input_tail 0 t.input_tail 0 (Array.length input_tail);
+    t.pos <- pos
 
   let reset t =
-    Array.fill t.carries 0 t.k S.zero;
-    Array.fill t.input_tail 0 (Array.length t.input_tail) S.zero;
-    t.started <- false
+    restore t ~pos:0 ~carries:(Array.make t.k S.zero)
+      ~input_tail:(Array.make (Array.length t.input_tail) S.zero)
 
+  (* Grow the factor plan geometrically; the grown plan is shared by the
+     local solves and the boundary sweep. *)
   let ensure_plan t len =
     let have = match t.fplan with None -> 0 | Some fp -> fp.FP.m in
     if len > have then
@@ -99,43 +114,57 @@ module Make (S : Plr_util.Scalar.S) = struct
      pool. *)
   let parallel_sweep_threshold = 8192
 
-  let sweep_parts t n =
-    if n < parallel_sweep_threshold then 1
-    else min (Pool.size t.pool) (n / (parallel_sweep_threshold / 2))
+  (* The local solve's chunk size.  Until the stream has a factor plan
+     (its first piece, which has no carries to correct), a piece below the
+     threshold is one chunk: solving it sequentially costs less than
+     compiling a plan and waking the pool, and the plan is compiled once,
+     for the first boundary sweep. *)
+  let local_chunk t n =
+    if t.fplan = None && n < parallel_sweep_threshold then n
+    else begin
+      ensure_plan t n;
+      Multicore.default_chunk_size ~domains:(Pool.size t.pool) n
+    end
 
   (* The boundary-correction sweep: one specialized whole-list sweep per
-     factor list.  Factor positions are absolute chunk positions, so a
-     range split passes its offset as [q0]; each range sums the lists in
-     the same order, keeping the output bit-identical to the serial
-     sweep. *)
-  let correct_boundary t fp y ~n =
-    let parts = sweep_parts t n in
-    if parts <= 1 then
-      for j = 0 to t.k - 1 do
-        FP.apply_list fp ~j ~carry:t.carries.(j) y ~base:0 ~len:n
-      done
-    else begin
-      let per = (n + parts - 1) / parts in
-      Pool.run t.pool ~tasks:parts (fun p ->
-          let lo = p * per in
-          let len = min per (n - lo) in
-          if len > 0 then
-            for j = 0 to t.k - 1 do
-              FP.apply_list ~q0:lo fp ~j ~carry:t.carries.(j) y ~base:lo ~len
-            done)
+     factor list, with the carries saved from the previous chunk (none
+     before the first).  Factor positions are absolute chunk positions,
+     so a range split passes its offset as [q0]; each range sums the
+     lists in the same order, keeping the output bit-identical to the
+     serial sweep.  [apply] is the storage's [apply_list]. *)
+  let correct_boundary t ~n apply =
+    if t.pos > 0 then begin
+      ensure_plan t n;
+      let fp = Option.get t.fplan in
+      let sweep ~lo ~len =
+        for j = 0 to t.k - 1 do
+          apply ~q0:lo fp ~j ~carry:t.carries.(j) ~base:lo ~len
+        done
+      in
+      let parts =
+        if n < parallel_sweep_threshold then 1
+        else min (Pool.size t.pool) (n / (parallel_sweep_threshold / 2))
+      in
+      if parts <= 1 then sweep ~lo:0 ~len:n
+      else begin
+        let per = (n + parts - 1) / parts in
+        Pool.run t.pool ~tasks:parts (fun p ->
+            let lo = p * per in
+            let len = min per (n - lo) in
+            if len > 0 then sweep ~lo ~len)
+      end
     end
 
   (* Save the new carry/input-tail state in place (no per-call
-     reallocation).  Carries walk downward because slot j may read old
-     slot j-n (a smaller index, still unwritten on the way down); the
-     input tail walks upward because slot h may read old slot h+n. *)
-  let save_carries_with t ~n read_out =
+     reallocation) and advance the position.  Carries walk downward
+     because slot j may read old slot j-n (a smaller index, still
+     unwritten on the way down); the input tail walks upward because slot
+     h may read old slot h+n. *)
+  let commit t x ~n read_out =
     for j = t.k - 1 downto 0 do
       t.carries.(j) <-
         (if n - 1 - j >= 0 then read_out (n - 1 - j) else t.carries.(j - n))
-    done
-
-  let save_input_tail t x ~n =
+    done;
     let tail = t.input_tail in
     let nh = Array.length tail in
     for h = 0 to nh - 1 do
@@ -143,7 +172,21 @@ module Make (S : Plr_util.Scalar.S) = struct
       tail.(h) <-
         (if n - 1 - back >= 0 then x.(n - 1 - back)
          else tail.(nh - 1 - (back - n)))
-    done
+    done;
+    t.pos <- t.pos + n
+
+  (* The boxed path: FIR with the input history, [solve] the pure
+     recurrence locally, then correct and commit. *)
+  let process_boxed t x solve =
+    let n = Array.length x in
+    if n = 0 then [||]
+    else begin
+      let y = solve (fir_with_history t x) ~n in
+      correct_boundary t ~n (fun ~q0 fp ~j ~carry ~base ~len ->
+          FP.apply_list ~q0 fp ~j ~carry y ~base ~len);
+      commit t x ~n (fun i -> y.(i));
+      y
+    end
 
   (* Unboxed float path: FIR into the reused [fbuf_in] scratch, solve into
      [fbuf_out] through [Multicore.run_into] (no boxed conversion), sweep
@@ -187,63 +230,36 @@ module Make (S : Plr_util.Scalar.S) = struct
             done
           done
         end;
-        ensure_plan t n;
-        let plan = t.fplan in
-        Multicore.run_into ~opts:t.opts ?plan ~pool:t.pool
-          ~chunk_size:
-            (Multicore.default_chunk_size ~domains:(Pool.size t.pool) n)
+        let chunk_size = local_chunk t n in
+        Multicore.run_into ~opts:t.opts ?plan:t.fplan ~pool:t.pool ~chunk_size
           t.pure ~src ~dst;
-        (if t.started then
-           match plan with
-           | None -> assert false (* ensure_plan always installs a plan *)
-           | Some fp ->
-               let parts = sweep_parts t n in
-               if parts <= 1 then
-                 for j = 0 to t.k - 1 do
-                   FP.apply_list_f fp ~j ~carry:t.carries.(j) dst ~base:0 ~len:n
-                 done
-               else begin
-                 let per = (n + parts - 1) / parts in
-                 Pool.run t.pool ~tasks:parts (fun p ->
-                     let lo = p * per in
-                     let len = min per (n - lo) in
-                     if len > 0 then
-                       for j = 0 to t.k - 1 do
-                         FP.apply_list_f ~q0:lo fp ~j ~carry:t.carries.(j) dst
-                           ~base:lo ~len
-                       done)
-               end);
-        save_carries_with t ~n (fun i -> A1.unsafe_get dst i);
-        save_input_tail t x ~n;
-        t.started <- true;
+        correct_boundary t ~n (fun ~q0 fp ~j ~carry ~base ~len ->
+            FP.apply_list_f ~q0 fp ~j ~carry dst ~base ~len);
+        commit t x ~n (fun i -> A1.unsafe_get dst i);
         Buf.to_array dst
     | _ -> invalid_arg "Stream.process_f: not a float scalar"
 
   let process t x =
-    let n = Array.length x in
-    if n = 0 then [||]
-    else
-      match S.rep with
-      | Plr_util.Scalar.Float_rep _ -> process_f t x ~n
-      | _ ->
-          let tseq = fir_with_history t x in
-          ensure_plan t n;
-          (* local parallel solve of the pure recurrence; the grown factor
-             plan is shared with the boundary sweep *)
-          let y =
-            Multicore.run ~opts:t.opts ?plan:t.fplan ~pool:t.pool
-              ~chunk_size:
-                (Multicore.default_chunk_size ~domains:(Pool.size t.pool) n)
-              t.pure tseq
-          in
-          (* correct with the carries from everything processed so far *)
-          (if t.started then
-             match t.fplan with
-             | None -> assert false (* ensure_plan always installs a plan *)
-             | Some fp -> correct_boundary t fp y ~n);
-          (* save the new state *)
-          save_carries_with t ~n (fun i -> y.(i));
-          save_input_tail t x ~n;
-          t.started <- true;
-          y
-  end
+    match S.rep with
+    | Plr_util.Scalar.Float_rep _ when Array.length x > 0 ->
+        process_f t x ~n:(Array.length x)
+    | _ ->
+        process_boxed t x (fun tseq ~n ->
+            let chunk_size = local_chunk t n in
+            Multicore.run ~opts:t.opts ?plan:t.fplan ~pool:t.pool ~chunk_size
+              t.pure tseq)
+
+  (* The faulted step: solve the pure recurrence under the seeded fault
+     plan and verify the whole chunk before anything is committed. *)
+  let process_faulted t ~seed ~tol x =
+    process_boxed t x (fun tseq ~n ->
+        let m = max t.k (min Plr_exec.Recoverable.faulted_chunk n) in
+        let faults =
+          Plr_gpusim.Faults.random ~seed ~chunks:((n + m - 1) / m)
+            ~lanes:(max 1 t.k) ~max_events:3 ()
+        in
+        Lookback.verified ~agree:(S.approx_equal ~tol)
+          ~expected:(Serial.full t.pure tseq) (fun () ->
+            Multicore.run ~opts:t.opts ~faults ~pool:t.pool
+              ~chunk_size:Plr_exec.Recoverable.faulted_chunk t.pure tseq))
+end

@@ -7,7 +7,12 @@
     with the parallel backend and then corrected with the same n-nacci
     factors Phase 2 uses, against the carries saved from the previous
     chunk — i.e. the stream is a decoupled look-back pipeline whose chunks
-    arrive over time instead of over thread blocks. *)
+    arrive over time instead of over thread blocks.
+
+    The state words (carries, FIR input tail, position) are exposed for
+    snapshot and restore, so {!Plr_serve.Session} wraps a stream with
+    checkpoint/journal recovery ({!Plr_exec.Recoverable}) instead of
+    reimplementing the filter. *)
 
 module Make (S : Plr_util.Scalar.S) : sig
   type t
@@ -27,8 +32,30 @@ module Make (S : Plr_util.Scalar.S) : sig
   (** Filter the next chunk (any length, including empty) and advance the
       internal state. *)
 
+  val process_faulted : t -> seed:int -> tol:float -> S.t array -> S.t array
+  (** {!process} with the local solve run under the fault plan drawn from
+      [seed] (16-element chunks), checked whole against the serial
+      reference (within [tol] for floats) before any state is committed.
+      @raise Plr_exec.Lookback.Fault_detected if the faulted engine raised
+      or diverged; the state is then unchanged. *)
+
   val reset : t -> unit
   (** Back to the zero state. *)
 
   val signature : t -> S.t Signature.t
+
+  (** {2 State words}
+
+      Elements consumed, copies of the carries
+      ([carries.(j) = y(position-1-j)]) and of the last [taps - 1]
+      inputs (most recent last); [restore] copies them back in and
+      raises [Invalid_argument] on a length that does not match the
+      signature. *)
+
+  val position : t -> int
+  val carries : t -> S.t array
+  val input_tail : t -> S.t array
+
+  val restore :
+    t -> pos:int -> carries:S.t array -> input_tail:S.t array -> unit
 end

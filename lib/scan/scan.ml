@@ -5,32 +5,13 @@ module Trace = Plr_trace.Trace
 module Buf = Plr_util.Buf
 module A1 = Bigarray.Array1
 
-exception Fault_detected of string
-(* Raised (outside the functor, so one identity for every scalar instance)
-   when a carry fails its before-commit verification or when an injected
-   fault makes forward progress impossible — the real protocol would spin
-   forever on a dropped publication, so the deterministic pipeline fails
-   loudly instead. *)
+module Lookback = Plr_exec.Lookback
+module Recoverable = Plr_exec.Recoverable
 
-(* Look-back window of the deterministic faulted pipeline, matching the
-   multicore backend's chaos shape: small, so a few hundred elements span
-   several waves. *)
-let faulted_lookback_window = 4
+exception Fault_detected = Lookback.Fault_detected
 
-let default_window ~pool_size = max faulted_lookback_window (2 * pool_size)
-
-(* Chunk-size policy, shared with the multicore backend: chunks below
-   [min_chunk_size] lose more to protocol overhead than they gain in
-   parallelism. *)
-let min_chunk_size = 1024
-let chunks_per_domain = 8
-
-let default_chunk_size ~domains n =
-  max min_chunk_size (n / (domains * chunks_per_domain))
-
-let fallback_chunks = 8
-let fallback_chunk_size n =
-  max min_chunk_size ((n + fallback_chunks - 1) / fallback_chunks)
+let default_window = Lookback.default_window
+let default_chunk_size = Lookback.default_chunk_size
 
 (* Monomorphic phase-1 kernel on unboxed float64 storage: the chunk's
    composed affine operator (A, B) — A the ordered product of the a's, B
@@ -115,29 +96,19 @@ module Make (S : Plr_util.Scalar.S) = struct
     if Array.length a <> Array.length b then
       invalid_arg (name ^ ": coefficient streams differ in length")
 
-  (* Bitwise equality refined by the representation witness, used by the
-     run-length fixpoint fill and the carry verification.  [None] means
-     the scalar offers no cheap bit view; both fast paths degrade to the
-     plain chain / skip the check. *)
-  let bitwise_equal : (S.t -> S.t -> bool) option =
-    match S.rep with
-    | Plr_util.Scalar.Int_rep -> Some (fun u v -> u = v)
-    | Plr_util.Scalar.Float_rep _ ->
-        Some (fun u v -> Int64.bits_of_float u = Int64.bits_of_float v)
-    | Plr_util.Scalar.Other_rep -> None
-
-  let carry_eq = match bitwise_equal with Some eq -> eq | None -> fun _ _ -> true
-
   (* ------------------------------------------------- serial reference *)
 
-  let serial_chain ?(y0 = S.zero) ~(a : S.t array) ~(b : S.t array)
-      (y : S.t array) =
+  let chain_s ~(a : S.t array) ~(b : S.t array) (y : S.t array) ~base ~len
+      ~y0 =
     let prev = ref y0 in
-    for i = 0 to Array.length a - 1 do
+    for i = base to base + len - 1 do
       let v = S.add (S.mul a.(i) !prev) b.(i) in
       y.(i) <- v;
       prev := v
     done
+
+  let serial_chain ?(y0 = S.zero) ~a ~b y =
+    chain_s ~a ~b y ~base:0 ~len:(Array.length a) ~y0
 
   let check_dst name n (dst : S.t array) =
     if Array.length dst < n then invalid_arg (name ^ ": dst too short")
@@ -309,398 +280,156 @@ module Make (S : Plr_util.Scalar.S) = struct
 
   (* -------------------------------------------- two-phase chunked run *)
 
-  (* The chunk-level operations of one run, specialized to the storage
-     the scalar representation admits; the look-back schedule below is
-     written once against this record. *)
-  type kernel = {
-    kaggregate : base:int -> len:int -> S.t * S.t;
-    kchain : base:int -> len:int -> y0:S.t -> unit;
-  }
+  (* The (a, b) operator-pair carry of the shared look-back protocol:
+     the local carry is the chunk's aggregate (A, B), the fold starts from
+     the pair (1, y0), and applying an exclusive carry recomputes the
+     chunk's outputs with the serial chain from its y component, so the
+     within-chunk operation order is exactly the serial reference's. *)
+  module Carry = struct
+    type t = S.t * S.t
 
-  let generic_kernel ~(a : S.t array) ~(b : S.t array) (y : S.t array) =
+    let cat = Trace.Scan
+    let run_span = "scan.run"
+    let chunk_span = "scan.chunk"
+    let lookback_span = "scan.lookback"
+    let publish_event = "scan.publish"
+    let correct_span = None
+
+    let corrupt ~lane (p, y) =
+      if lane land 1 = 0 then (corrupt p, y) else (p, corrupt y)
+  end
+
+  module L = Lookback.Make (Carry)
+
+  let scalar_equal = Lookback.scalar_equal S.rep
+
+  (* The chunk operations of one run over its storage's [aggregate] and
+     [chain] kernels.  A poisoned chunk publishes a poisoned aggregate;
+     its own outputs are recomputed from the exclusive carry, so the
+     damage reaches successors only. *)
+  let lookback_ops ~aggregate ~chain =
     {
-      kaggregate =
-        (fun ~base ~len ->
-          let p = ref S.one and acc = ref S.zero in
-          for i = base to base + len - 1 do
-            p := S.mul a.(i) !p;
-            acc := S.add (S.mul a.(i) !acc) b.(i)
-          done;
-          (!p, !acc));
-      kchain =
-        (fun ~base ~len ~y0 ->
-          let prev = ref y0 in
-          for i = base to base + len - 1 do
-            let v = S.add (S.mul a.(i) !prev) b.(i) in
-            y.(i) <- v;
-            prev := v
-          done);
+      L.local = aggregate;
+      combine = (fun (pa, pb) (p, y) -> (S.mul pa p, S.add (S.mul pa y) pb));
+      apply = (fun ~base ~len (_, y0) -> chain ~base ~len ~y0);
+      equal = (fun (p, y) (p', y') -> scalar_equal p p' && scalar_equal y y');
+      poison = (fun ~base:_ ~len:_ (pa, _) -> (pa, poison));
+      correct_arg = 0;
     }
 
-  (* The decoupled look-back schedule (Merrill-Garland, PAPERS.md) over
-     operator pairs.  One task per chunk; each task
+  (* The generic boxed kernels. *)
+  let aggregate_s ~(a : S.t array) ~(b : S.t array) ~base ~len =
+    let p = ref S.one and acc = ref S.zero in
+    for i = base to base + len - 1 do
+      p := S.mul a.(i) !p;
+      acc := S.add (S.mul a.(i) !acc) b.(i)
+    done;
+    (!p, !acc)
 
-     1. reduces its chunk to the aggregate pair (A, B);
-     2. publishes it and flags itself [`Aggregate`];
-     3. looks back: reads the inclusive carry of the last chunk of the
-        previous window, then folds the aggregates of the chunks between
-        that boundary and itself, in ascending order — verifying each
-        folded inclusive against the chunk's own published inclusive
-        whenever one is already visible (same boundary, same fold order,
-        hence bitwise comparable; a mismatch is a corrupted carry and
-        raises {!Fault_detected} before anything is committed);
-     4. publishes its own inclusive carry (a_prod, y_incl) — *before*
-        step 5, so successors never wait on a whole-chunk recompute;
-     5. recomputes its outputs with the serial chain from the received
-        carry.
-
-     Status flags are the only atomics; carry payloads are plain writes
-     made visible by the release/acquire pair on the flag.  Every
-     schedule folds in the same fixed order, so outputs are bitwise
-     identical across pool sizes and completion orders; a pool of size 1
-     executes the same tasks inline in index order. *)
-  let status_aggregate = 1
-  let status_inclusive = 2
-
-  let run_pooled_k ?window ~cancel ~pool ~kernel ~n ~m ~y0 () =
-    let chunks = (n + m - 1) / m in
-    let lp = Array.make chunks S.zero and lb = Array.make chunks S.zero in
-    let gp = Array.make chunks S.zero and gy = Array.make chunks S.zero in
-    let status = Array.init chunks (fun _ -> Atomic.make 0) in
-    let window =
-      match window with
-      | Some w -> max 1 w
-      | None -> default_window ~pool_size:(Pool.size pool)
-    in
-    let wait c v =
-      while Atomic.get status.(c) < v do
-        if Pool.cancelled pool then raise Pool.Stopped;
-        Domain.cpu_relax ()
-      done
-    in
-    let task c =
-      (* Chunk boundary is the cooperative preemption point: a fired
-         deadline aborts here instead of reducing another whole chunk. *)
+  (* A single chunk needs no protocol: the chain is the whole answer. *)
+  let run_ops ?window ~cancel ~pool ~n ~m ~y0 ~aggregate ~chain () =
+    if n <= m then begin
       Cancel.check cancel;
-      let base = c * m in
-      let len = min m (n - base) in
-      Trace.begin_span2 Trace.Scan "scan.chunk" c len;
-      let pa, pb = kernel.kaggregate ~base ~len in
-      lp.(c) <- pa;
-      lb.(c) <- pb;
-      if c > 0 then begin
-        Atomic.set status.(c) status_aggregate;
-        Trace.instant Trace.Scan "scan.publish" c status_aggregate
-      end;
-      let boundary = (c / window * window) - 1 in
-      Trace.begin_span2 Trace.Scan "scan.lookback" c (c - max 0 (boundary + 1));
-      let p = ref S.one and yv = ref y0 in
-      if boundary >= 0 then begin
-        wait boundary status_inclusive;
-        p := gp.(boundary);
-        yv := gy.(boundary)
-      end;
-      for t = max 0 (boundary + 1) to c - 1 do
-        wait t status_aggregate;
-        let p' = S.mul lp.(t) !p and y' = S.add (S.mul lp.(t) !yv) lb.(t) in
-        (* Before-commit verification: chunks in the same window fold
-           from the same boundary in the same order, so a predecessor's
-           published inclusive carry must match ours bitwise. *)
-        if
-          Atomic.get status.(t) >= status_inclusive
-          && not (carry_eq gp.(t) p' && carry_eq gy.(t) y')
-        then
-          raise
-            (Fault_detected
-               (Printf.sprintf
-                  "carry verification failed: chunk %d's published \
-                   inclusive carry disagrees with the look-back fold"
-                  t));
-        p := p';
-        yv := y'
-      done;
-      Trace.end_span ();
-      gp.(c) <- S.mul pa !p;
-      gy.(c) <- S.add (S.mul pa !yv) pb;
-      Atomic.set status.(c) status_inclusive;
-      Trace.instant Trace.Scan "scan.publish" c status_inclusive;
-      kernel.kchain ~base ~len ~y0:!yv;
-      Trace.end_span ()
-    in
-    Pool.run ~cancel pool ~tasks:chunks task
-
-  let run_kernel ?window ~cancel ~pool ~kernel ~n ~m ~y0 () =
-    let chunks = (n + m - 1) / m in
-    if chunks = 1 then begin
-      Cancel.check cancel;
-      kernel.kchain ~base:0 ~len:n ~y0
+      chain ~base:0 ~len:n ~y0
     end
-    else run_pooled_k ?window ~cancel ~pool ~kernel ~n ~m ~y0 ()
-
-  (* Unboxed float64 core: build the monomorphic kernel in a context
-     where matching the representation witness has refined [S.t] to
-     [float].  Raises for non-float scalars (the entry points dispatch). *)
-  let run_float_core ?window ~cancel ~pool ~n ~m ~y0 (a : Buf.t) (b : Buf.t)
-      (y : Buf.t) =
-    match S.rep with
-    | Plr_util.Scalar.Float_rep rounding ->
-        let f32 = rounding = Plr_util.Scalar.Round_f32 in
-        let kernel =
-          {
-            kaggregate = (fun ~base ~len -> aggregate_f ~f32 a b ~base ~len);
-            kchain = (fun ~base ~len ~y0 -> chain_f ~f32 a b y ~base ~len ~y0);
-          }
-        in
-        run_kernel ?window ~cancel ~pool ~kernel ~n ~m ~y0 ()
-    | _ -> invalid_arg "Scan.run_float_core: not a float scalar"
-
-  let run_int_core ?window ~cancel ~pool ~n ~m ~y0 (a : S.t array)
-      (b : S.t array) (y : S.t array) =
-    match S.rep with
-    | Plr_util.Scalar.Int_rep ->
-        let kernel =
-          {
-            kaggregate = (fun ~base ~len -> aggregate_i a b ~base ~len);
-            kchain = (fun ~base ~len ~y0 -> chain_i a b y ~base ~len ~y0);
-          }
-        in
-        run_kernel ?window ~cancel ~pool ~kernel ~n ~m ~y0 ()
-    | _ -> invalid_arg "Scan.run_int_core: not an int scalar"
-
-  (* ----------------------------------------- deterministic fault model *)
-
-  (* The same windowed look-back protocol executed sequentially under the
-     fault plan's completion permutation, with publication *visibility*
-     gated by Drop events — the scan twin of the multicore backend's
-     [run_faulted].  A chunk is runnable when every publication it would
-     spin on is visible; when no incomplete chunk is runnable the real
-     protocol would spin forever, so we raise [Fault_detected] instead.
-     The carry verification of the live protocol runs here too, against
-     every visible inclusive publication, so a corrupted carry inside the
-     window is caught before the reader commits anything. *)
-  let run_faulted ~faults ~(a : S.t array) ~(b : S.t array) ~y0
-      (y : S.t array) ~n ~m =
-    let chunks = (n + m - 1) / m in
-    let lp = Array.make chunks S.zero and lb = Array.make chunks S.zero in
-    let gp = Array.make chunks S.zero and gy = Array.make chunks S.zero in
-    let local_vis = Array.make chunks false in
-    let global_vis = Array.make chunks false in
-    let finished = Array.make chunks false in
-    let w = faulted_lookback_window in
-    let boundary c = (c / w * w) - 1 in
-    let ready c =
-      let bnd = boundary c in
-      (bnd < 0 || global_vis.(bnd))
-      && begin
-           let ok = ref true in
-           for t = max 0 (bnd + 1) to c - 1 do
-             if not local_vis.(t) then ok := false
-           done;
-           !ok
-         end
-    in
-    let run_chunk c =
-      let base = c * m in
-      let len = min m (n - base) in
-      let pa = ref S.one and pb = ref S.zero in
-      for i = base to base + len - 1 do
-        pa := S.mul a.(i) !pa;
-        pb := S.add (S.mul a.(i) !pb) b.(i)
-      done;
-      let pa = !pa in
-      (* Poison models a corrupted partial result: the published fold and
-         the chunk's own output both carry it. *)
-      let poisoned =
-        Faults.events_at faults ~chunks Faults.Poison_chunk c <> []
-      in
-      let pb = if poisoned then poison else !pb in
-      let bnd = boundary c in
-      let p = ref S.one and yv = ref y0 in
-      if bnd >= 0 then begin
-        p := gp.(bnd);
-        yv := gy.(bnd)
-      end;
-      for t = max 0 (bnd + 1) to c - 1 do
-        let p' = S.mul lp.(t) !p and y' = S.add (S.mul lp.(t) !yv) lb.(t) in
-        if global_vis.(t) && not (carry_eq gp.(t) p' && carry_eq gy.(t) y')
-        then
-          raise
-            (Fault_detected
-               (Printf.sprintf
-                  "carry verification failed: chunk %d's published \
-                   inclusive carry disagrees with the look-back fold"
-                  t));
-        p := p';
-        yv := y'
-      done;
-      let gpub_p = ref (S.mul pa !p) in
-      let gpub_y = ref (S.add (S.mul pa !yv) pb) in
-      let lpub_p = ref pa and lpub_b = ref pb in
-      (* Corrupt both published forms after the chunk's own computation,
-         so only successors observe the damage. *)
-      List.iter
-        (fun (e : Faults.event) ->
-          if e.Faults.lane land 1 = 0 then begin
-            lpub_p := corrupt !lpub_p;
-            gpub_p := corrupt !gpub_p
-          end
-          else begin
-            lpub_b := corrupt !lpub_b;
-            gpub_y := corrupt !gpub_y
-          end)
-        (Faults.events_at faults ~chunks Faults.Corrupt_carry c);
-      lp.(c) <- !lpub_p;
-      lb.(c) <- !lpub_b;
-      gp.(c) <- !gpub_p;
-      gy.(c) <- !gpub_y;
-      if Faults.events_at faults ~chunks Faults.Drop_local c = [] then
-        local_vis.(c) <- true;
-      if Faults.events_at faults ~chunks Faults.Drop_global c = [] then
-        global_vis.(c) <- true;
-      let prev = ref !yv in
-      for i = base to base + len - 1 do
-        let v = S.add (S.mul a.(i) !prev) b.(i) in
-        y.(i) <- v;
-        prev := v
-      done;
-      if poisoned then begin
-        y.(base) <- poison;
-        y.(base + len - 1) <- poison
-      end
-    in
-    let order = Faults.permutation faults chunks in
-    let completed = ref 0 in
-    while !completed < chunks do
-      let picked = ref (-1) in
-      Array.iter
-        (fun c ->
-          if !picked < 0 && (not finished.(c)) && ready c then picked := c)
-        order;
-      if !picked < 0 then
-        raise
-          (Fault_detected
-             (Printf.sprintf
-                "look-back stall: %d of %d chunks blocked on carry \
-                 publications that were dropped"
-                (chunks - !completed) chunks))
-      else begin
-        run_chunk !picked;
-        finished.(!picked) <- true;
-        incr completed
-      end
-    done
+    else
+      L.run ?window ~cancel ~pool ~start:(Some (S.one, y0))
+        (lookback_ops ~aggregate ~chain) ~n ~m
 
   (* ---------------------------------------------------- entry points *)
 
   let resolve_pool ?pool ?domains () =
     match pool with Some p -> p | None -> Pool.get ?domains ()
 
-  let run ?(faults = Faults.none) ?(cancel = Cancel.none) ?pool ?domains
-      ?chunk_size ?window ?(y0 = S.zero) a b =
-    check_lengths "Scan.run" a b;
-    let n = Array.length a in
-    if n = 0 then [||]
-    else if not (Faults.is_none faults) then begin
-      (* Chaos replay stays on the boxed reference kernels, sequentially,
-         and needs no pool. *)
-      let chunk_size =
-        match chunk_size with
-        | Some c -> max 1 c
-        | None -> fallback_chunk_size n
-      in
-      let m = min chunk_size n in
-      Trace.begin_span2 Trace.Scan "scan.run" n ((n + m - 1) / m);
-      let y = Array.make n S.zero in
-      match run_faulted ~faults ~a ~b ~y0 y ~n ~m with
-      | () ->
-          Trace.end_span ();
-          y
-      | exception e ->
-          Trace.end_span ();
-          raise e
-    end
-    else begin
-      let pool = resolve_pool ?pool ?domains () in
-      let chunk_size =
-        match chunk_size with
-        | Some c -> max 1 c
-        | None -> default_chunk_size ~domains:(Pool.size pool) n
-      in
-      let m = min chunk_size n in
-      Trace.begin_span2 Trace.Scan "scan.run" n ((n + m - 1) / m);
-      (* Storage dispatch: floats convert to unboxed Buf storage at
-         this API boundary only; native ints run in place on their
-         (already flat) arrays; everything else takes the generic
-         boxed kernels.  All paths run the identical schedule and
-         operation order, so outputs are bitwise identical. *)
-      let dispatch () : S.t array =
-        match S.rep with
-        | Plr_util.Scalar.Float_rep _ ->
-            let ab = Buf.of_array a and bb = Buf.of_array b in
-            let yb = Buf.create n in
-            run_float_core ?window ~cancel ~pool ~n ~m ~y0 ab bb yb;
-            Buf.to_array yb
-        | Plr_util.Scalar.Int_rep ->
-            let y = Array.make n S.zero in
-            run_int_core ?window ~cancel ~pool ~n ~m ~y0 a b y;
-            y
-        | Plr_util.Scalar.Other_rep ->
-            let y = Array.make n S.zero in
-            run_kernel ?window ~cancel ~pool
-              ~kernel:(generic_kernel ~a ~b y)
-              ~n ~m ~y0 ();
-            y
-      in
-      match dispatch () with
-      | y ->
-          Trace.end_span ();
-          y
-      | exception e ->
-          Trace.end_span ();
-          raise e
-    end
+  let resolve_m ?chunk_size ~pool n =
+    match chunk_size with
+    | Some c -> min (max 1 c) n
+    | None -> min (default_chunk_size ~domains:(Pool.size pool) n) n
 
-  (* Buf-in/Buf-out entry for float scalars: no boxed conversion at all,
-     and [dst] is caller-allocated (reusable across calls), so a
-     warmed-up run performs no per-element allocation. *)
+  (* Buf-in/Buf-out entry for float scalars, and the unboxed path of
+     [run]: the monomorphic kernels are built where matching the
+     representation witness has refined [S.t] to [float].  [dst] is
+     caller-allocated (reusable across calls), so a warmed-up run performs
+     no per-element allocation. *)
   let run_into ?(cancel = Cancel.none) ?pool ?domains ?chunk_size ?window
       ?(y0 = S.zero) (a : Buf.t) (b : Buf.t) ~(dst : Buf.t) =
     let n = Buf.length a in
     if Buf.length b <> n then
       invalid_arg "Scan.run_into: coefficient streams differ in length";
     if Buf.length dst < n then invalid_arg "Scan.run_into: dst too short";
-    if n > 0 then begin
-      let pool = resolve_pool ?pool ?domains () in
-      let chunk_size =
+    match S.rep with
+    | _ when n = 0 -> ()
+    | Plr_util.Scalar.Float_rep rounding ->
+        let f32 = rounding = Plr_util.Scalar.Round_f32 in
+        let pool = resolve_pool ?pool ?domains () in
+        let m = resolve_m ?chunk_size ~pool n in
+        L.traced ~n ~m @@ fun () ->
+        run_ops ?window ~cancel ~pool ~n ~m ~y0
+          ~aggregate:(aggregate_f ~f32 a b : base:int -> len:int -> S.t * S.t)
+          ~chain:(chain_f ~f32 a b dst : base:int -> len:int -> y0:S.t -> unit)
+          ()
+    | _ -> invalid_arg "Scan.run_into: not a float scalar"
+
+  let run ?(faults = Faults.none) ?(cancel = Cancel.none) ?pool ?domains
+      ?chunk_size ?window ?(y0 = S.zero) (a : S.t array) b : S.t array =
+    check_lengths "Scan.run" a b;
+    let n = Array.length a in
+    if n = 0 then [||]
+    else begin
+      (* The faulted replay runs sequentially and needs no pool. *)
+      let unfaulted = Faults.is_none faults in
+      let pool = lazy (resolve_pool ?pool ?domains ()) in
+      let m =
         match chunk_size with
-        | Some c -> max 1 c
-        | None -> default_chunk_size ~domains:(Pool.size pool) n
+        | Some c -> min n (max 1 c)
+        | None when unfaulted -> resolve_m ~pool:(Lazy.force pool) n
+        | None -> min n (Lookback.fallback_chunk_size n)
       in
-      let m = min chunk_size n in
-      Trace.begin_span2 Trace.Scan "scan.run" n ((n + m - 1) / m);
-      match run_float_core ?window ~cancel ~pool ~n ~m ~y0 a b dst with
-      | () -> Trace.end_span ()
-      | exception e ->
-          Trace.end_span ();
-          raise e
+      (* Storage dispatch: floats convert to unboxed Buf storage at this
+         API boundary only; native ints run in place on their (already
+         flat) arrays; everything else, and the faulted replay, takes the
+         generic boxed kernels.  All paths run the identical schedule and
+         operation order, so outputs are bitwise identical. *)
+      match S.rep with
+      | Plr_util.Scalar.Float_rep _ when unfaulted ->
+          let dst = Buf.create n in
+          run_into ~cancel ~pool:(Lazy.force pool) ~chunk_size:m ?window ~y0
+            (Buf.of_array a) (Buf.of_array b) ~dst;
+          Buf.to_array dst
+      | rep ->
+          L.traced ~n ~m @@ fun () : S.t array ->
+          let y = Array.make n S.zero in
+          let run = run_ops ?window ~cancel ~n ~m ~y0 in
+          (match rep with
+          | Plr_util.Scalar.Int_rep when unfaulted ->
+              run ~pool:(Lazy.force pool)
+                ~aggregate:(aggregate_i a b : base:int -> len:int -> S.t * S.t)
+                ~chain:(chain_i a b y : base:int -> len:int -> y0:S.t -> unit)
+                ()
+          | _ ->
+              let aggregate = aggregate_s ~a ~b and chain = chain_s ~a ~b y in
+              if unfaulted then run ~pool:(Lazy.force pool) ~aggregate ~chain ()
+              else
+                L.run_faulted ~faults ~start:(Some (S.one, y0))
+                  (lookback_ops ~aggregate ~chain) ~n ~m);
+          y
     end
 
   (* -------------------------------------------------------- streaming *)
 
   module Stream = struct
-    type fault = Crash | Corrupt_state | Engine_fault of int
+    type fault = Recoverable.fault =
+      | Crash
+      | Corrupt_state
+      | Engine_fault of int
 
-    let fault_to_string = function
-      | Crash -> "crash"
-      | Corrupt_state -> "corrupt-state"
-      | Engine_fault seed -> Printf.sprintf "engine-fault(seed %d)" seed
+    let fault_to_string = Recoverable.fault_to_string
 
+    (* A jump over [steps] inputs: a gap of identity steps ([None]) or a
+       fast-forward by a composed operator. *)
     type segment =
       | Data of S.t array * S.t array
-      | Gap of int
-      | Ff of S.t * S.t * int
-
-    type checkpoint = { cp_pos : int; cp_y : S.t; cp_digest : int }
+      | Jump of (S.t * S.t) option * int
 
     type stats = {
       position : int;
@@ -711,262 +440,142 @@ module Make (S : Plr_util.Scalar.S) = struct
       replayed : int;
     }
 
-    type t = {
+    type state = {
       pool : Pool.t;
       tol : float;
-      checkpoint_every : int;
       mutable y : S.t;
       mutable pos : int;
-      mutable digest : int; (* of the live state; a mismatch = corruption *)
-      mutable checkpoint : checkpoint; (* last good snapshot *)
-      mutable journal : segment list; (* since the checkpoint, newest first *)
-      mutable armed : fault option;
-      mutable n_checkpoints : int;
-      mutable n_recoveries : int;
-      mutable n_fastforwards : int;
-      mutable n_detected : int;
-      mutable n_replayed : int;
+      mutable fastforwards : int;
     }
 
-    (* Engine-fault injections run with this fixed chunk size (the chaos
-       harness's choice) so small stream pieces still span several chunks
-       of the look-back protocol. *)
-    let faulted_chunk = 16
+    (* Clean pieces run the serial chain from the exact carry: bitwise
+       identical to the serial reference over the concatenated stream.
+       A faulted piece runs the engine under the injected plan and is
+       verified whole before any state commits, so silent divergence is
+       structurally impossible on this path. *)
+    let solve_piece st ~seed ~a ~b =
+      match seed with
+      | None -> serial ~y0:st.y a b
+      | Some seed ->
+          let n = Array.length a in
+          let m = max 1 (min Recoverable.faulted_chunk n) in
+          let faults =
+            Faults.random ~seed ~chunks:((n + m - 1) / m) ~lanes:2
+              ~max_events:3 ()
+          in
+          Lookback.verified ~agree:(S.approx_equal ~tol:st.tol)
+            ~expected:(serial ~y0:st.y a b) (fun () ->
+              run ~faults ~pool:st.pool ~chunk_size:Recoverable.faulted_chunk
+                ~y0:st.y a b)
 
-    let default_checkpoint_every = 1024
+    (* Exactly the state transition of one data piece, so recovery replay
+       goes through this same code and reproduces the state bit-for-bit. *)
+    let process_data ?seed st ~a ~b =
+      let n = Array.length a in
+      if n = 0 then [||]
+      else begin
+        let y = solve_piece st ~seed ~a ~b in
+        st.y <- y.(n - 1);
+        st.pos <- st.pos + n;
+        y
+      end
 
-    let stream_poison = S.of_int 0x5EED_BAD
+    (* A gap of [n] identity steps: the carry is the fast-forward
+       operator's fixpoint, so nothing moves but the position.  A
+       fast-forward is one compose: the carry pair is the operator. *)
+    let advance st ?op steps =
+      Trace.begin_span2 Trace.Scan "scan.session.ff" st.pos steps;
+      Option.iter
+        (fun (a_prod, b_fold) -> st.y <- S.add (S.mul a_prod st.y) b_fold)
+        op;
+      st.pos <- st.pos + steps;
+      st.fastforwards <- st.fastforwards + 1;
+      Trace.end_span ()
+
+    type snapshot = { cp_pos : int; cp_y : S.t; cp_digest : int }
 
     (* The state is two words, so the digest is simply a hash of the pair
        (rendered, so floats hash by value, not address). *)
     let state_digest ~pos ~y = Hashtbl.hash (pos, S.to_string y)
 
-    let create ?pool ?domains ?(checkpoint_every = default_checkpoint_every)
-        ?(tol = 1e-3) ?(y0 = S.zero) () =
-      let pool = match pool with Some p -> p | None -> Pool.get ?domains () in
-      let digest = state_digest ~pos:0 ~y:y0 in
-      {
-        pool;
-        tol;
-        checkpoint_every = max 1 checkpoint_every;
-        y = y0;
-        pos = 0;
-        digest;
-        checkpoint = { cp_pos = 0; cp_y = y0; cp_digest = digest };
-        journal = [];
-        armed = None;
-        n_checkpoints = 0;
-        n_recoveries = 0;
-        n_fastforwards = 0;
-        n_detected = 0;
-        n_replayed = 0;
-      }
+    module R = Recoverable.Make (struct
+      type t = state
+      type nonrec snapshot = snapshot
+      type nonrec segment = segment
 
-    let position t = t.pos
-    let value t = t.y
+      let position st = st.pos
+
+      let snapshot st =
+        let cp_digest = state_digest ~pos:st.pos ~y:st.y in
+        { cp_pos = st.pos; cp_y = st.y; cp_digest }
+
+      let digest cp = cp.cp_digest
+      let valid cp = state_digest ~pos:cp.cp_pos ~y:cp.cp_y = cp.cp_digest
+
+      let restore st cp =
+        st.y <- cp.cp_y;
+        st.pos <- cp.cp_pos
+
+      let replay st = function
+        | Data (a, b) -> ignore (process_data st ~a ~b : S.t array)
+        | Jump (op, steps) -> advance st ?op steps
+
+      let replayed = function Data (a, _) -> Array.length a | Jump _ -> 0
+
+      let crash st =
+        st.y <- S.of_int 0x5EED_BAD;
+        st.pos <- st.pos + 1 (* a lost position is part of losing memory *)
+
+      let corrupt st = st.y <- corrupt st.y
+      let cat = Trace.Scan
+      let checkpoint_span = "scan.session.checkpoint"
+      let recover_span = "scan.session.recover"
+      let name = "Scan.Stream"
+    end)
+
+    type t = R.t
+
+    let create ?pool ?domains ?checkpoint_every ?(tol = 1e-3) ?(y0 = S.zero)
+        () =
+      let pool = match pool with Some p -> p | None -> Pool.get ?domains () in
+      R.create ?checkpoint_every
+        { pool; tol; y = y0; pos = 0; fastforwards = 0 }
+
+    let position t = (R.state t).pos
+    let value t = (R.state t).y
 
     let stats t =
+      let r = R.stats t and st = R.state t in
       {
-        position = t.pos;
-        checkpoints = t.n_checkpoints;
-        recoveries = t.n_recoveries;
-        fastforwards = t.n_fastforwards;
-        detected = t.n_detected;
-        replayed = t.n_replayed;
+        position = st.pos;
+        checkpoints = r.R.checkpoints;
+        recoveries = r.R.recoveries;
+        fastforwards = st.fastforwards;
+        detected = r.R.detected;
+        replayed = r.R.replayed;
       }
-
-    let live_digest t = state_digest ~pos:t.pos ~y:t.y
-
-    exception Detected of string
-
-    (* The faulted solve: run the engine under the injected plan and
-       check the whole piece against the serial reference.  Anything
-       that raised or diverged is [Detected] — the stream never lets a
-       faulted piece's output (or state update) through unverified, so
-       silent divergence is structurally impossible on this path. *)
-    let solve_piece t ~fault_seed ~a ~b =
-      match fault_seed with
-      | None ->
-          (* The serial chain from the exact carry: bitwise identical to
-             the serial reference over the concatenated stream. *)
-          let y = Array.make (Array.length a) S.zero in
-          serial_chain ~y0:t.y ~a ~b y;
-          y
-      | Some seed ->
-          let n = Array.length a in
-          let m = max 1 (min faulted_chunk n) in
-          let chunks = (n + m - 1) / m in
-          let faults =
-            Faults.random ~seed ~chunks ~lanes:2 ~max_events:3 ()
-          in
-          let y =
-            match
-              run ~faults ~pool:t.pool ~chunk_size:faulted_chunk ~y0:t.y a b
-            with
-            | y -> y
-            | exception Fault_detected msg -> raise (Detected msg)
-            | exception e -> raise (Detected (Printexc.to_string e))
-          in
-          let expected = serial ~y0:t.y a b in
-          Array.iteri
-            (fun i v ->
-              if not (S.approx_equal ~tol:t.tol v y.(i)) then
-                raise
-                  (Detected
-                     (Printf.sprintf "faulted scan diverged at index %d" i)))
-            expected;
-          y
-
-    (* Process one data piece: no journaling, no checkpointing — exactly
-       the state transition, so recovery replay goes through this same
-       code and reproduces the state bit-for-bit. *)
-    let process_data ?fault_seed t ~a ~b =
-      let n = Array.length a in
-      if n = 0 then [||]
-      else begin
-        let y = solve_piece t ~fault_seed ~a ~b in
-        t.y <- y.(n - 1);
-        t.pos <- t.pos + n;
-        y
-      end
-
-    (* A gap of [n] identity steps: the carry is the fast-forward
-       operator's fixpoint, so nothing moves but the position. *)
-    let gap_advance t n =
-      Trace.begin_span2 Trace.Scan "scan.session.ff" t.pos n;
-      t.pos <- t.pos + n;
-      t.n_fastforwards <- t.n_fastforwards + 1;
-      Trace.end_span ()
-
-    (* One compose: the carry pair *is* the fast-forward operator. *)
-    let ff_advance t ~a_prod ~b_fold ~steps =
-      Trace.begin_span2 Trace.Scan "scan.session.ff" t.pos steps;
-      t.y <- S.add (S.mul a_prod t.y) b_fold;
-      t.pos <- t.pos + steps;
-      t.n_fastforwards <- t.n_fastforwards + 1;
-      Trace.end_span ()
-
-    (* ---------------------------------------------- checkpoint/recover *)
-
-    let take_checkpoint t =
-      Trace.begin_span2 Trace.Scan "scan.session.checkpoint" t.pos
-        (List.length t.journal);
-      t.checkpoint <-
-        { cp_pos = t.pos; cp_y = t.y; cp_digest = live_digest t };
-      t.journal <- [];
-      t.n_checkpoints <- t.n_checkpoints + 1;
-      Trace.end_span ()
-
-    let maybe_checkpoint t =
-      if t.pos - t.checkpoint.cp_pos >= t.checkpoint_every then
-        take_checkpoint t
-
-    let segment_data_length = function
-      | Data (a, _) -> Array.length a
-      | Gap _ | Ff _ -> 0
-
-    (* Restore the last checkpoint and bring the state back to the
-       current position by replaying the journal — data pieces re-run
-       through the exact original code path (bitwise-identical state),
-       gaps and fast-forwards re-run the same O(1) composes. *)
-    let recover t =
-      let cp = t.checkpoint in
-      if state_digest ~pos:cp.cp_pos ~y:cp.cp_y <> cp.cp_digest then
-        failwith "Scan.Stream: last checkpoint is corrupted, cannot recover";
-      let journal = List.rev t.journal in
-      let replayed =
-        List.fold_left (fun acc s -> acc + segment_data_length s) 0 journal
-      in
-      Trace.begin_span2 Trace.Scan "scan.session.recover" cp.cp_pos replayed;
-      t.y <- cp.cp_y;
-      t.pos <- cp.cp_pos;
-      List.iter
-        (function
-          | Data (a, b) -> ignore (process_data t ~a ~b : S.t array)
-          | Gap n -> gap_advance t n
-          | Ff (a_prod, b_fold, steps) -> ff_advance t ~a_prod ~b_fold ~steps)
-        journal;
-      t.n_recoveries <- t.n_recoveries + 1;
-      t.n_replayed <- t.n_replayed + replayed;
-      Trace.end_span ()
-
-    (* ---------------------------------------------------- fault intake *)
-
-    let inject t fault = t.armed <- Some fault
-
-    (* State-corrupting faults strike before the call's work; the digest
-       check below then discovers them exactly as it would discover real
-       memory corruption. *)
-    let apply_armed_corruption t =
-      match t.armed with
-      | Some Crash ->
-          t.armed <- None;
-          t.y <- stream_poison;
-          t.pos <- t.pos + 1 (* a lost position is part of losing memory *)
-      | Some Corrupt_state ->
-          t.armed <- None;
-          t.y <- corrupt t.y
-      | _ -> ()
-
-    let verify_state t =
-      if live_digest t <> t.digest then begin
-        t.n_detected <- t.n_detected + 1;
-        recover t;
-        t.digest <- live_digest t
-      end
-
-    let enter t fault =
-      (match fault with Some f -> inject t f | None -> ());
-      apply_armed_corruption t;
-      verify_state t;
-      match t.armed with
-      | Some (Engine_fault seed) ->
-          t.armed <- None;
-          Some seed
-      | _ -> None
-
-    let finish_segment t seg =
-      t.journal <- seg :: t.journal;
-      maybe_checkpoint t;
-      t.digest <- live_digest t
 
     let process ?fault t a b =
       check_lengths "Scan.Stream.process" a b;
-      let fault_seed = enter t fault in
-      let n = Array.length a in
-      if n = 0 then [||]
-      else begin
-        let y =
-          match process_data ?fault_seed t ~a ~b with
-          | y -> y
-          | exception Detected _ ->
-              (* The faulted engine raised or diverged before any state
-                 was committed; rebuild from the checkpoint anyway (the
-                 state is no longer trusted) and re-run cleanly. *)
-              t.n_detected <- t.n_detected + 1;
-              recover t;
-              process_data t ~a ~b
-        in
-        finish_segment t (Data (Array.copy a, Array.copy b));
-        y
+      let y =
+        R.step t fault (fun seed -> process_data ?seed (R.state t) ~a ~b)
+      in
+      if Array.length a > 0 then R.commit t (Data (Array.copy a, Array.copy b));
+      y
+
+    let jump ?fault ?op t steps =
+      R.step t fault ignore;
+      if steps > 0 then begin
+        advance (R.state t) ?op steps;
+        R.commit t (Jump (op, steps))
       end
 
     let skip ?fault t n =
       if n < 0 then invalid_arg "Scan.Stream.skip: negative gap";
-      ignore (enter t fault : int option);
-      if n > 0 then begin
-        gap_advance t n;
-        finish_segment t (Gap n)
-      end
+      jump ?fault t n
 
     let fast_forward ?fault t ~a_prod ~b_fold ~steps =
       if steps < 0 then invalid_arg "Scan.Stream.fast_forward: negative steps";
-      ignore (enter t fault : int option);
-      if steps > 0 then begin
-        ff_advance t ~a_prod ~b_fold ~steps;
-        finish_segment t (Ff (a_prod, b_fold, steps))
-      end
-
-    let checkpoint_now t = take_checkpoint t
+      jump ?fault ~op:(a_prod, b_fold) t steps
   end
 end

@@ -11,15 +11,18 @@
 
     {v (a2, b2) . (a1, b1) = (a2 * a1, a2 * b1 + b2) v}
 
-    (ScanWeaver, PAPERS.md).  The chunked multicore path reuses the
-    decoupled look-back protocol of {!Plr_multicore.Multicore} verbatim:
-    each chunk publishes its aggregate pair, looks back to the previous
-    window boundary, folds the intervening aggregates in a fixed order,
-    and publishes its inclusive carry [(a_prod, y_incl)] {e before}
-    recomputing its own outputs from the received carry.
+    (ScanWeaver, PAPERS.md).  The chunked multicore path is the shared
+    decoupled look-back protocol ({!Plr_exec.Lookback}) instantiated with
+    pair carries: each chunk publishes its aggregate pair, looks back to
+    the previous window boundary, folds the intervening aggregates in a
+    fixed order starting from [(1, y0)], and publishes its inclusive
+    carry [(a_prod, y_incl)] {e before} recomputing its own outputs with
+    the serial chain from the received carry.  Constant-coefficient PLR
+    ({!Plr_multicore.Multicore}) is the same protocol over k-vector
+    (companion-matrix) carries.
 
     {b Determinism contract.}  Because every schedule (any pool size,
-    any completion order, the faulted pipeline) folds carries in the
+    any completion order, the faulted replay) folds carries in the
     identical fixed order, the engine's output is bitwise identical
     across schedules.  For integer scalars the carry composition is
     exact in the wrap-around ring, so the engine is additionally bitwise
@@ -38,18 +41,13 @@ module Cancel = Plr_exec.Cancel
 module Buf = Plr_util.Buf
 
 exception Fault_detected of string
-(** Raised (outside the functor, one identity for every scalar) when a
-    carry publication fails verification against the folded look-back
-    value, or when an injected fault makes forward progress impossible
-    (a dropped publication the real protocol would spin on forever). *)
-
-val faulted_lookback_window : int
-(** Look-back window of the deterministic faulted pipeline (4, matching
-    the multicore backend's chaos shape). *)
+(** {!Plr_exec.Lookback.Fault_detected}, rebound (one identity shared
+    with {!Plr_multicore.Multicore.Fault_detected}). *)
 
 val default_window : pool_size:int -> int
-val min_chunk_size : int
+
 val default_chunk_size : domains:int -> int -> int
+(** The shared chunk and window policy of {!Plr_exec.Lookback}. *)
 
 module Make (S : Plr_util.Scalar.S) : sig
   val serial : ?y0:S.t -> S.t array -> S.t array -> S.t array
@@ -121,9 +119,11 @@ module Make (S : Plr_util.Scalar.S) : sig
       bitwise-identical output.  Look-back carries are cross-checked
       against already-published inclusive carries before commit; a
       mismatch raises {!Fault_detected}.  A non-inert [faults] plan
-      routes to the deterministic faulted pipeline (sequential, under the
-      plan's completion permutation), which raises {!Fault_detected} on
-      dropped publications and failed carry verification. *)
+      routes to the deterministic faulted replay
+      ({!Plr_exec.Lookback.Make.run_faulted}: sequential, under the plan's
+      completion permutation), which raises {!Fault_detected} on dropped
+      publications and failed carry verification; a poisoned chunk
+      publishes a poisoned aggregate. *)
 
   val run_into :
     ?cancel:Cancel.t ->
@@ -141,22 +141,22 @@ module Make (S : Plr_util.Scalar.S) : sig
       allocation.  Raises [Invalid_argument] for non-float scalars or
       when [dst] is shorter than the inputs. *)
 
-  (** Streaming scan sessions with checkpoint/replay recovery, mirroring
-      {!Plr_serve.Session}: the carry pair {e is} the fast-forward
-      operator, so a gap is recovered by one compose — no companion
-      powers needed.  Pieces evaluate serially from the exact carry, so
-      a stream's concatenated outputs are bitwise identical to
-      {!serial} over the concatenated inputs, for every scalar. *)
+  (** Streaming scan sessions: the pair carry recovered by the shared
+      checkpoint/journal/replay layer ({!Plr_exec.Recoverable}), like
+      {!Plr_serve.Session}.  The carry pair {e is} the fast-forward
+      operator, so a gap is one compose — no companion powers needed.
+      Pieces evaluate serially from the exact carry, so a stream's
+      concatenated outputs are bitwise identical to {!serial} over the
+      concatenated inputs, for every scalar.  An [Engine_fault] piece
+      solves under that seed's injected fault plan and is verified whole
+      against the serial reference before any state commits. *)
   module Stream : sig
     type t
 
-    type fault =
-      | Crash  (** the live state words are lost (poisoned) *)
-      | Corrupt_state  (** one state word is silently flipped *)
+    type fault = Plr_exec.Recoverable.fault =
+      | Crash
+      | Corrupt_state
       | Engine_fault of int
-          (** the next piece solves under this seed's injected fault
-              plan; the output is verified whole against the serial
-              reference before any state commits *)
 
     type stats = {
       position : int;
@@ -201,7 +201,5 @@ module Make (S : Plr_util.Scalar.S) : sig
     (** Jump the stream over [steps] inputs whose composed operator is
         [(a_prod, b_fold)]: one compose, [y := a_prod*y + b_fold].
         Exact for integer scalars; to rounding for floats. *)
-
-    val checkpoint_now : t -> unit
   end
 end

@@ -1,33 +1,32 @@
 (** Resilient streaming sessions: sticky recurrence state with periodic
     checkpoints and O(k³ log g) fast-forward recovery.
 
-    A session is the serving layer's stateful filter (the DSP idiom of
-    {!Plr_multicore.Stream}): chunks arrive over time, the recurrence
-    state (output carries + FIR input tail) flows across calls, and the
-    concatenated outputs are exactly one offline pass.  On top of the
-    stream mechanics a session adds the fault-recovery protocol of this
-    repo's robustness layer:
+    A session is a {!Plr_multicore.Stream} (the stateful filter: chunks
+    arrive over time, the recurrence state — output carries + FIR input
+    tail — flows across calls, and the concatenated outputs are exactly
+    one offline pass) wrapped in the shared recovery layer
+    {!Plr_exec.Recoverable}:
 
     - every state word is covered by a {b digest}; a snapshot
       ({!Plr_robust.Companion.Make.Checkpoint}) is taken every
       [checkpoint_every] elements, and the segments processed since live
       in a bounded {b journal};
     - a detected fault — state corruption caught by the digest, a crash,
-      or an engine fault caught by chunk verification — triggers
-      {b recovery}: restore the last checkpoint and replay only the
-      journal, with input-free gaps skipped by companion-matrix powers
+      or an engine fault caught by the stream's whole-chunk verification
+      — triggers {b recovery}: restore the last checkpoint and replay only
+      the journal, with input-free gaps skipped by companion-matrix powers
       instead of replayed.  Replay runs the exact original code path, so
       the rebuilt state is bit-identical to the unfaulted run's;
     - gaps ({!Make.skip}) fast-forward in O(k³ log g) after a
       [taps - 1]-element warm-up, never materializing the zeros.
 
-    Fault injection ({!Make.inject} / the [?fault] arguments) drives the
-    same paths deterministically for the chaos harness; the emitted trace
-    spans ([session.checkpoint], [session.recover], [session.ff]) let
-    tests prove recovery used checkpoint + fast-forward, not full
-    replay. *)
+    The session adds no filter code of its own, so its output is bitwise
+    the stream's.  Fault injection (the [?fault] arguments) drives the
+    same paths deterministically for the chaos harness; the emitted trace spans ([session.checkpoint],
+    [session.recover], [session.ff]) let tests prove recovery used
+    checkpoint + fast-forward, not full replay. *)
 
-type fault =
+type fault = Plr_exec.Recoverable.fault =
   | Crash  (** lose the in-memory state before the next call's work *)
   | Corrupt_state  (** silently flip one live state word *)
   | Engine_fault of int
@@ -66,7 +65,7 @@ module Make (S : Plr_util.Scalar.S) : sig
 
   val process : ?fault:fault -> t -> S.t array -> S.t array
   (** Filter the next chunk and advance the state.  [fault] injects the
-      given fault into this call (identical to {!inject} just before).
+      given fault into this call.
       The output — faulted call or not — is exactly the unfaulted
       stream's output for this range: faults are detected and recovered,
       never served. *)
@@ -77,9 +76,6 @@ module Make (S : Plr_util.Scalar.S) : sig
       companion-matrix fast-forward.  An armed [Engine_fault] is consumed
       (a gap runs no engine); state faults are detected as in
       {!process}.  @raise Invalid_argument on a negative gap. *)
-
-  val inject : t -> fault -> unit
-  (** Arm [fault] for the next {!process}/{!skip} call. *)
 
   val migrate : t -> pool:Plr_exec.Pool.t -> unit
   (** Move the session to [pool] (in the serving layer: another shard).
@@ -92,9 +88,6 @@ module Make (S : Plr_util.Scalar.S) : sig
       {!Metrics.t.session_migrations} when the session carries metrics);
       emits a [session.migrate] trace span.
       @raise Failure if the last checkpoint fails its digest check. *)
-
-  val checkpoint_now : t -> unit
-  (** Force a snapshot at the current position (empties the journal). *)
 
   val signature : t -> S.t Signature.t
   val position : t -> int

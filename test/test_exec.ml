@@ -1,9 +1,12 @@
 (* Tests for the persistent domain pool: task coverage, reuse across many
    runs, the increasing-claim-order guarantee, exception propagation,
-   cooperative cancellation, and the registry. *)
+   cooperative cancellation, and the registry; and a property test of the
+   shared look-back protocol over a trivial carry. *)
 
 module Pool = Plr_exec.Pool
 module Cancel = Plr_exec.Cancel
+module Lookback = Plr_exec.Lookback
+module Faults = Plr_gpusim.Faults
 
 exception Boom of int
 
@@ -244,7 +247,134 @@ let test_stats () =
     (Pool.stats pool).Pool.jobs_completed;
   Alcotest.(check bool) "idle again" false (Pool.stats pool).Pool.busy
 
+(* ------------------------------------------------ look-back protocol *)
+
+(* The simplest carry: a running sum.  A chunk's local carry is its sum
+   (its outputs hold the local prefix sums), combining adds, and the
+   exclusive carry is added to every output. *)
+module Sum = struct
+  type t = int
+
+  let cat = Plr_trace.Trace.App
+  let run_span = "test.run"
+  let chunk_span = "test.chunk"
+  let lookback_span = "test.lookback"
+  let publish_event = "test.publish"
+  let correct_span = None
+  let corrupt ~lane v = v + 1 + lane
+end
+
+module LB = Lookback.Make (Sum)
+
+let sum_ops x y =
+  {
+    LB.local =
+      (fun ~base ~len ->
+        let acc = ref 0 in
+        for i = base to base + len - 1 do
+          acc := !acc + x.(i);
+          y.(i) <- !acc
+        done;
+        !acc);
+    combine = ( + );
+    apply =
+      (fun ~base ~len g ->
+        for i = base to base + len - 1 do
+          y.(i) <- y.(i) + g
+        done);
+    equal = Int.equal;
+    poison = (fun ~base:_ ~len:_ v -> v + 1);
+    correct_arg = 0;
+  }
+
+type case = {
+  domains : int;
+  window : int option;
+  m : int;
+  xs : int array;
+  benign_seed : int;
+  drop : Faults.kind;
+  drop_chunk : int;
+}
+
+let print_case c =
+  Printf.sprintf
+    "{domains=%d; window=%s; m=%d; n=%d; xs=[|%s|]; benign_seed=%d; drop=%s      on chunk %d}"
+    c.domains
+    (match c.window with Some w -> string_of_int w | None -> "default")
+    c.m (Array.length c.xs)
+    (String.concat "; " (Array.to_list (Array.map string_of_int c.xs)))
+    c.benign_seed
+    (Faults.kind_to_string c.drop)
+    c.drop_chunk
+
+let gen_case =
+  let open QCheck2.Gen in
+  let* domains = int_range 1 3 in
+  let* window = oneofl [ Some 1; Some 2; Some 4; None ] in
+  let* m = int_range 1 8 in
+  let* n = int_range 0 (40 * m) in
+  let* xs = array_size (return n) (int_range (-50) 50) in
+  let* benign_seed = int_range 0 10_000 in
+  let* drop = oneofl [ Faults.Drop_local; Faults.Drop_global ] in
+  let+ drop_chunk = int_range 0 40 in
+  { domains; window; m; xs; benign_seed; drop; drop_chunk }
+
+let prop_lookback pools =
+  QCheck_alcotest.to_alcotest
+    ~rand:(Random.State.make [| 2026 |])
+    (QCheck2.Test.make ~name:"look-back ≡ sequential fold" ~count:300
+       ~print:print_case gen_case (fun c ->
+         let n = Array.length c.xs and m = c.m in
+         let chunks = (n + m - 1) / m in
+         let expected = Array.make n 0 in
+         Array.iteri
+           (fun i v -> expected.(i) <- (if i = 0 then 0 else expected.(i - 1)) + v)
+           c.xs;
+         let live = Array.make n 0 in
+         LB.run ?window:c.window ~cancel:Cancel.none
+           ~pool:pools.(c.domains - 1) ~start:None (sum_ops c.xs live) ~n ~m;
+         if live <> expected then QCheck2.Test.fail_report "live run diverged";
+         let faulted faults =
+           let y = Array.make n 0 in
+           match LB.run_faulted ~faults ~start:None (sum_ops c.xs y) ~n ~m with
+           | () -> Some y
+           | exception Lookback.Fault_detected _ -> None
+         in
+         let benign =
+           Faults.random ~seed:c.benign_seed ~chunks ~lanes:1
+             ~kinds:[ Faults.Reorder; Faults.Delay_flag ] ~max_events:4 ()
+         in
+         if faulted benign <> Some expected then
+           QCheck2.Test.fail_report "benign faults did not replay bit-exactly";
+         if chunks > 0 then begin
+           (* A dropped aggregate stalls iff a later chunk of its window
+              folds it; a dropped inclusive carry stalls iff it ends a
+              window that has a successor.  Anything else is routed
+              around bit-exactly. *)
+           let w = Lookback.faulted_lookback_window in
+           let c0 = c.drop_chunk mod chunks in
+           let ends_window = c0 mod w = w - 1 in
+           let read =
+             c0 + 1 < chunks
+             && if c.drop = Faults.Drop_local then not ends_window else ends_window
+           in
+           let got =
+             faulted
+               (Faults.of_events
+                  [ { Faults.kind = c.drop; chunk = c0; lane = 0; delay = 0 } ])
+           in
+           match (read, got) with
+           | true, None -> ()
+           | false, Some y when y = expected -> ()
+           | true, Some _ -> QCheck2.Test.fail_report "read drop did not stall"
+           | false, _ -> QCheck2.Test.fail_report "unread drop was not routed around"
+         end;
+         true))
+
 let () =
+  let pools = Array.init 3 (fun i -> Pool.create ~domains:(i + 1) ()) in
+  Fun.protect ~finally:(fun () -> Array.iter Pool.shutdown pools) @@ fun () ->
   Alcotest.run "plr_exec"
     [
       ( "pool",
@@ -280,4 +410,5 @@ let () =
           Alcotest.test_case "deadline cancels an inline run" `Quick
             test_deadline_cancels_inline_run;
         ] );
+      ("lookback", [ prop_lookback pools ]);
     ]

@@ -349,12 +349,24 @@ let test_serve_campaign () =
 
 (* ------------------------------------------------- deadline mid-flight *)
 
+(* Set an environment variable for the duration of [f] (the JIT reads
+   its switch per call, never memoized). *)
+let with_env key value f =
+  let old = Sys.getenv_opt key in
+  Unix.putenv key value;
+  Fun.protect f ~finally:(fun () ->
+      Unix.putenv key (Option.value ~default:"" old))
+
 let test_midflight_deadline () =
   (* A deadline that can only fire after execution has started must cut
      the run at a chunk boundary: [Deadline_exceeded] plus the
      mid-flight counter (not the never-started path).  The input grows
      until the run is long enough for the deadline to land mid-flight,
-     so the pin is robust to fast machines. *)
+     so the pin is robust to fast machines.  The JIT is switched off: a
+     kernel already in the on-disk cache would answer before the
+     deadline, and the path under test is the pooled look-back's
+     cancellation. *)
+  with_env "PLR_JIT" "off" @@ fun () ->
   let config =
     { Serve.default_config with
       Serve.parallel_threshold = 1024;

@@ -434,6 +434,73 @@ let test_steal_vs_sticky_session () =
   Alcotest.(check int) "migrations counted in metrics" 2
     (Metrics.Counter.get m.Metrics.session_migrations)
 
+(* A session is recovery wrapped around a [Multicore.Stream] with no
+   filter code of its own: over the serve-sessions shape (16 pieces of
+   4096) its outputs are the stream's bit for bit, and a steady piece
+   size compiles the factor plan once per session, not once per piece. *)
+module Stream_f = Plr_multicore.Stream.Make (Scalar.F32)
+module Stream_i = Plr_multicore.Stream.Make (Scalar.Int)
+
+let session_vs_stream (type a) ~(session : a array -> a array)
+    ~(stream : a array -> a array) ~(bits : a -> int64) name pieces =
+  Array.iteri
+    (fun p x ->
+      let want = stream x and got = session x in
+      Array.iteri
+        (fun i v ->
+          if bits v <> bits got.(i) then
+            Alcotest.failf "%s: piece %d element %d differs from the stream"
+              name p i)
+        want)
+    pieces
+
+let test_session_matches_stream () =
+  let server = Srv_f.create ~domains:2 () in
+  let server_i = Srv_i.create ~domains:2 () in
+  Fun.protect
+    ~finally:(fun () ->
+      Srv_f.shutdown server;
+      Srv_i.shutdown server_i)
+  @@ fun () ->
+  let g = Plr_util.Splitmix.create 2026 in
+  let pieces n =
+    Array.init n (fun _ ->
+        Array.init 4096 (fun _ -> Plr_util.Splitmix.int_in g ~lo:(-9) ~hi:9))
+  in
+  let compiles () =
+    List.length
+      (List.filter
+         (fun e ->
+           e.Plr_trace.Trace.kind = Plr_trace.Trace.Begin
+           && e.Plr_trace.Trace.name = "factor.compile")
+         (Plr_trace.Trace.collect ()))
+  in
+  List.iter
+    (fun (e : Table1.entry) ->
+      if e != Table1.order2 && e != Table1.order3 then begin
+        let s = Signature.map Plr_util.F32.round e.Table1.signature in
+        let fl = Array.map (Array.map float_of_int) in
+        let session = Srv_f.session server s and stream = Stream_f.create ~domains:2 s in
+        session_vs_stream ~session:(Srv_f.Session.process session)
+          ~stream:(Stream_f.process stream) ~bits:Int64.bits_of_float
+          e.Table1.name (fl (pieces 16));
+        Plr_trace.Trace.reset ();
+        Plr_trace.Trace.set_enabled true;
+        let fresh = Srv_f.session server s in
+        Array.iter (fun x -> ignore (Srv_f.Session.process fresh x)) (fl (pieces 64));
+        Plr_trace.Trace.set_enabled false;
+        let n = compiles () in
+        if n > 1 then
+          Alcotest.failf "%s: %d factor compiles over 64 fixed-size pieces"
+            e.Table1.name n
+      end)
+    Table1.all;
+  let s = int_sig [| 1 |] [| 2; -1 |] in
+  session_vs_stream
+    ~session:(Srv_i.Session.process (Srv_i.session server_i s))
+    ~stream:(Stream_i.process (Stream_i.create ~domains:2 s))
+    ~bits:Int64.of_int "order2 (int)" (pieces 16)
+
 (* Per-shard rows must reconcile with the global counters under a
    concurrent mixed hammer (plain requests across the local and pooled
    paths, plus scans). *)
@@ -572,6 +639,8 @@ let () =
             test_steal_vs_sticky_session;
           Alcotest.test_case "per-shard metrics sum" `Quick
             test_shard_metrics_sum;
+          Alcotest.test_case "session output is the stream's" `Quick
+            test_session_matches_stream;
           Alcotest.test_case "affinity stable" `Quick
             test_shard_affinity_stable ] );
       ( "metrics",

@@ -160,7 +160,16 @@ let test_disabled_zero_alloc () =
    requests, at least one flow must demonstrably cross domains (finish
    on a domain other than the one that started it) and every finish must
    refer to a started flow id. *)
+(* The JIT reads its switch per call; a kernel already in the on-disk
+   cache would answer every request before the pool ran any of them. *)
+let with_jit_off f =
+  let old = Sys.getenv_opt "PLR_JIT" in
+  Unix.putenv "PLR_JIT" "off";
+  Fun.protect f ~finally:(fun () ->
+      Unix.putenv "PLR_JIT" (Option.value ~default:"" old))
+
 let test_flow_linkage () =
+  with_jit_off @@ fun () ->
   Trace.reset ();
   Trace.set_enabled true;
   let config =
