@@ -201,19 +201,23 @@ module Make (S : Plr_util.Scalar.S) = struct
     }
 
   (* Storage-agnostic driver: resolve the factor plan once, then run the
-     look-back protocol.  A single chunk needs neither a plan nor the
-     protocol — the fused solve is the whole answer. *)
-  let run_kernel ?plan ?window ~cancel ~opts ~pool ~feedback ~n ~m ~k ~solve
-      ~sweep ~get () =
-    if n <= m then begin
+     look-back protocol — live on the pool, or the deterministic replay
+     under a non-inert [faults] plan (always on a freshly compiled plan).
+     An unfaulted single chunk needs neither a plan nor the protocol — the
+     fused solve is the whole answer. *)
+  let run_kernel ?plan ?window ?poison ?(faults = Faults.none) ~cancel ~opts
+      ~pool ~feedback ~n ~m ~k ~solve ~sweep ~get () =
+    let unfaulted = Faults.is_none faults in
+    if unfaulted && n <= m then begin
       Cancel.check cancel;
       solve ~base:0 ~len:n
     end
     else
+      let plan = if unfaulted then plan else None in
       let fp = resolve_plan ?plan ~opts ~feedback ~m ~k () in
-      L.run ?window ~cancel ~pool ~start:None
-        (lookback_ops fp ~k ~m ~solve ~sweep ~get)
-        ~n ~m
+      let ops = lookback_ops ?poison fp ~k ~m ~solve ~sweep ~get in
+      if unfaulted then L.run ?window ~cancel ~pool ~start:None ops ~n ~m
+      else L.run_faulted ~faults ~start:None ops ~n ~m
 
   let resolve_pool ?pool ?domains () =
     match pool with Some p -> p | None -> Pool.get ?domains ()
@@ -253,10 +257,12 @@ module Make (S : Plr_util.Scalar.S) = struct
           ()
     | _ -> invalid_arg "Multicore.run_into: not a float scalar"
 
-  let run_with ?(opts = Opts.all_on) ?(faults = Faults.none) ?plan
-      ?(cancel = Cancel.none) ?window ~pool ~chunk_size (s : S.t Signature.t)
-      (input : S.t array) : S.t array =
+  let run ?(opts = Opts.all_on) ?(faults = Faults.none) ?plan
+      ?(cancel = Cancel.none) ?pool ?domains ?chunk_size ?window
+      (s : S.t Signature.t) (input : S.t array) : S.t array =
     let n = Array.length input in
+    let pool = resolve_pool ?pool ?domains () in
+    let chunk_size = resolve_chunk_size ?chunk_size ?plan ~pool n in
     let unfaulted = Faults.is_none faults in
     (* Storage dispatch: floats convert to unboxed Buf storage at this API
        boundary only; native ints run in place on their (already flat)
@@ -278,7 +284,8 @@ module Make (S : Plr_util.Scalar.S) = struct
         L.traced ~n ~m @@ fun () : S.t array ->
         let y = Array.make n S.zero in
         let run =
-          run_kernel ?plan ?window ~cancel ~opts ~pool ~feedback ~n ~m ~k
+          run_kernel ?plan ?window ~faults ~cancel ~opts ~pool ~feedback ~n ~m
+            ~k
         in
         (match rep with
         | Plr_util.Scalar.Int_rep when unfaulted ->
@@ -288,37 +295,19 @@ module Make (S : Plr_util.Scalar.S) = struct
               ~get:(Array.unsafe_get y : int -> S.t)
               ()
         | _ ->
-            let solve = solve_chunk_fused ~forward ~feedback input y
-            and sweep fp ~j ~carry = FP.apply_list fp ~j ~carry y in
-            if unfaulted then run ~solve ~sweep ~get:(Array.get y) ()
-            else
-              let fp =
-                FP.of_feedback ~opts ~max_period:cpu_max_period ~feedback ~m ()
-              in
-              let poison ~base ~len =
+            run
+              ~poison:(fun ~base ~len ->
                 y.(base) <- poison;
-                y.(base + len - 1) <- poison
-              in
-              L.run_faulted ~faults ~start:None
-                (lookback_ops ~poison fp ~k ~m ~solve ~sweep ~get:(Array.get y))
-                ~n ~m);
+                y.(base + len - 1) <- poison)
+              ~solve:(solve_chunk_fused ~forward ~feedback input y)
+              ~sweep:(fun fp ~j ~carry -> FP.apply_list fp ~j ~carry y)
+              ~get:(Array.get y) ());
         y
-
-  let run ?opts ?faults ?plan ?cancel ?pool ?domains ?chunk_size ?window s
-      input =
-    let pool = resolve_pool ?pool ?domains () in
-    let chunk_size =
-      resolve_chunk_size ?chunk_size ?plan ~pool (Array.length input)
-    in
-    run_with ?opts ?faults ?plan ?cancel ?window ~pool ~chunk_size s input
-
-  let sequential_pool = lazy (Pool.get ~domains:1 ())
 
   let run_sequential_fallback ?opts ?chunk_size s input =
     let chunk_size =
-      match chunk_size with
-      | Some c -> max 1 c
-      | None -> Lookback.fallback_chunk_size (Array.length input)
+      Option.value chunk_size
+        ~default:(Lookback.fallback_chunk_size (Array.length input))
     in
-    run_with ?opts ~pool:(Lazy.force sequential_pool) ~chunk_size s input
+    run ?opts ~domains:1 ~chunk_size s input
 end

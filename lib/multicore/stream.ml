@@ -10,9 +10,10 @@ module Make (S : Plr_util.Scalar.S) = struct
 
   type t = {
     signature : S.t Signature.t;
+    map : S.t Signature.t;           (* (forward : ), the FIR stage *)
     pure : S.t Signature.t;          (* (1 : feedback) for the local solves *)
+    identity_map : bool;             (* the FIR stage is (1 : ) *)
     k : int;
-    taps : int;
     pool : Pool.t;
     opts : Plr_factors.Opts.t;
     carries : S.t array;             (* carry j = j-th from last output *)
@@ -29,19 +30,21 @@ module Make (S : Plr_util.Scalar.S) = struct
   let create ?pool ?domains ?(opts = Plr_factors.Opts.all_on)
       (signature : S.t Signature.t) =
     let k = Signature.order signature in
-    let _, pure = Signature.split ~one:S.one signature in
+    let taps = Signature.fir_taps signature in
+    let map, pure = Signature.split ~one:S.one signature in
     let pool =
       match pool with Some p -> p | None -> Pool.get ?domains ()
     in
     {
       signature;
+      map;
       pure;
+      identity_map = taps = 1 && S.is_one signature.Signature.forward.(0);
       k;
-      taps = Signature.fir_taps signature;
       pool;
       opts;
       carries = Array.make k S.zero;
-      input_tail = Array.make (max 0 (Signature.fir_taps signature - 1)) S.zero;
+      input_tail = Array.make (max 0 (taps - 1)) S.zero;
       pos = 0;
       fplan = None;
       fbuf_in = Buf.create 0;
@@ -84,43 +87,31 @@ module Make (S : Plr_util.Scalar.S) = struct
       t.fbuf_out <- Buf.create cap
     end
 
-  (* FIR with the saved input history standing in for x(i < 0 of this
-     chunk). *)
-  let fir_with_history t x =
-    let fwd = t.signature.Signature.forward in
-    let taps = t.taps in
-    if taps = 1 && S.is_one fwd.(0) then Array.copy x
-    else begin
-      let hist = t.input_tail in
-      let nh = Array.length hist in
-      Array.init (Array.length x) (fun i ->
-          let acc = ref S.zero in
-          for j = 0 to taps - 1 do
-            if not (S.is_zero fwd.(j)) then begin
-              let v =
-                if i - j >= 0 then x.(i - j)
-                else begin
-                  let h = nh + (i - j) in
-                  if h >= 0 then hist.(h) else S.zero
-                end
-              in
-              acc := S.add !acc (S.mul fwd.(j) v)
-            end
-          done;
-          !acc)
-    end
+  (* The map stage (eq. 2) run serially over [history ++ x]: the saved
+     input tail stands in for x(i < 0 of this piece), and the outputs at
+     the history positions are dropped. *)
+  let fir t x =
+    if t.identity_map then x
+    else
+      let nh = Array.length t.input_tail in
+      Array.sub
+        (Serial.fir ~forward:t.map.Signature.forward
+           (Array.append t.input_tail x))
+        nh (Array.length x)
 
   (* Below this length the boundary sweep is cheaper than waking the
      pool. *)
   let parallel_sweep_threshold = 8192
 
-  (* The local solve's chunk size.  Until the stream has a factor plan
-     (its first piece, which has no carries to correct), a piece below the
-     threshold is one chunk: solving it sequentially costs less than
-     compiling a plan and waking the pool, and the plan is compiled once,
-     for the first boundary sweep. *)
+  (* The local solve's chunk size.  The piece at position 0 (no carries to
+     correct) is one chunk below the threshold: solving it sequentially
+     costs less than compiling a plan and waking the pool.  The choice
+     reads only the position, which snapshots restore, never the plan
+     cache, so a restored or migrated stream chunks every replayed piece
+     exactly as the original run did — float outputs depend on the chunk
+     boundaries. *)
   let local_chunk t n =
-    if t.fplan = None && n < parallel_sweep_threshold then n
+    if t.pos = 0 && n < parallel_sweep_threshold then n
     else begin
       ensure_plan t n;
       Multicore.default_chunk_size ~domains:(Pool.size t.pool) n
@@ -181,54 +172,34 @@ module Make (S : Plr_util.Scalar.S) = struct
     let n = Array.length x in
     if n = 0 then [||]
     else begin
-      let y = solve (fir_with_history t x) ~n in
+      let y = solve (fir t x) ~n in
       correct_boundary t ~n (fun ~q0 fp ~j ~carry ~base ~len ->
           FP.apply_list ~q0 fp ~j ~carry y ~base ~len);
       commit t x ~n (fun i -> y.(i));
       y
     end
 
-  (* Unboxed float path: FIR into the reused [fbuf_in] scratch, solve into
-     [fbuf_out] through [Multicore.run_into] (no boxed conversion), sweep
-     the boundary correction directly on the output buffer.  Only the
-     returned chunk is a fresh boxed array — the caller owns it. *)
-  let process_f t (x : S.t array) ~n : S.t array =
+  (* Floats take the unboxed path: FIR into the reused [fbuf_in] scratch,
+     solve into [fbuf_out] through [Multicore.run_into] (no boxed
+     conversion), sweep the boundary correction directly on the output
+     buffer.  The FIR runs [Serial.full_into] over [history ++ x], staged
+     in [fbuf_out] (free until the solve).  Only the returned chunk is a
+     fresh boxed array — the caller owns it. *)
+  let process t (x : S.t array) : S.t array =
+    let n = Array.length x in
     match S.rep with
-    | Plr_util.Scalar.Float_rep rounding ->
-        let f32 = rounding = Plr_util.Scalar.Round_f32 in
-        ensure_fbufs t n;
-        let src = Buf.sub t.fbuf_in ~pos:0 ~len:n in
+    | Plr_util.Scalar.Float_rep _ when n > 0 ->
+        let nh = Array.length t.input_tail in
+        ensure_fbufs t (nh + n);
+        let src = Buf.sub t.fbuf_in ~pos:nh ~len:n in
         let dst = Buf.sub t.fbuf_out ~pos:0 ~len:n in
-        let fwd = t.signature.Signature.forward in
-        let taps = t.taps in
-        if taps = 1 && fwd.(0) = 1.0 then Buf.blit_from_array x src
+        if t.identity_map then Buf.blit_from_array x src
         else begin
-          let hist = t.input_tail in
-          let nh = Array.length hist in
-          for i = 0 to n - 1 do
-            A1.unsafe_set src i 0.0;
-            for j = 0 to taps - 1 do
-              let f = Array.unsafe_get fwd j in
-              if f <> 0.0 then begin
-                let v =
-                  if i - j >= 0 then Array.unsafe_get x (i - j)
-                  else begin
-                    let h = nh + (i - j) in
-                    if h >= 0 then Array.unsafe_get hist h else 0.0
-                  end
-                in
-                let p = f *. v in
-                let p =
-                  if f32 then Int32.float_of_bits (Int32.bits_of_float p)
-                  else p
-                in
-                let acc = A1.unsafe_get src i +. p in
-                A1.unsafe_set src i
-                  (if f32 then Int32.float_of_bits (Int32.bits_of_float acc)
-                   else acc)
-              end
-            done
-          done
+          let staged = Buf.sub t.fbuf_out ~pos:0 ~len:(nh + n) in
+          Buf.blit_from_array t.input_tail staged;
+          Buf.blit_from_array x (Buf.sub staged ~pos:nh ~len:n);
+          Serial.full_into t.map ~src:staged
+            ~dst:(Buf.sub t.fbuf_in ~pos:0 ~len:(nh + n))
         end;
         let chunk_size = local_chunk t n in
         Multicore.run_into ~opts:t.opts ?plan:t.fplan ~pool:t.pool ~chunk_size
@@ -237,12 +208,6 @@ module Make (S : Plr_util.Scalar.S) = struct
             FP.apply_list_f ~q0 fp ~j ~carry dst ~base ~len);
         commit t x ~n (fun i -> A1.unsafe_get dst i);
         Buf.to_array dst
-    | _ -> invalid_arg "Stream.process_f: not a float scalar"
-
-  let process t x =
-    match S.rep with
-    | Plr_util.Scalar.Float_rep _ when Array.length x > 0 ->
-        process_f t x ~n:(Array.length x)
     | _ ->
         process_boxed t x (fun tseq ~n ->
             let chunk_size = local_chunk t n in

@@ -59,14 +59,6 @@ module Make (S : Plr_util.Scalar.S) = struct
      shapes the sparse path classifies. *)
   let scan_chunk = 16
 
-  let agrees ~tol expected out =
-    Array.length out = Array.length expected
-    && (let ok = ref true in
-        Array.iteri
-          (fun i v -> if not (S.approx_equal ~tol v out.(i)) then ok := false)
-          expected;
-        !ok)
-
   let scan_inputs gen n =
     let a = Array.make n S.zero and b = Array.make n S.zero in
     let i = ref 0 in
@@ -104,7 +96,14 @@ module Make (S : Plr_util.Scalar.S) = struct
         ~max_events ()
     in
     let expected = Sc.serial a b in
-    let matches = agrees ~tol expected in
+    let matches out =
+      Array.length out = Array.length expected
+      && (let ok = ref true in
+          Array.iteri
+            (fun i v -> if not (S.approx_equal ~tol v out.(i)) then ok := false)
+            expected;
+          !ok)
+    in
     let accepted, why =
       match Sc.run ~faults:plan ?domains ~chunk_size:scan_chunk a b with
       | y ->
@@ -172,7 +171,14 @@ module Make (S : Plr_util.Scalar.S) = struct
     in
     let expected = Serial.full s input in
     let o = G.run ~tol ~check:Guard.Full runner s input in
-    let matches = agrees ~tol expected in
+    let matches out =
+      Array.length out = Array.length expected
+      && (let ok = ref true in
+          Array.iteri
+            (fun i v -> if not (S.approx_equal ~tol v out.(i)) then ok := false)
+            expected;
+          !ok)
+    in
     let parallel_violation () =
       List.fold_left
         (fun acc (a : Guard.attempt) ->

@@ -304,16 +304,26 @@ module Make (S : Plr_util.Scalar.S) = struct
   let scalar_equal = Lookback.scalar_equal S.rep
 
   (* The chunk operations of one run over its storage's [aggregate] and
-     [chain] kernels.  A poisoned chunk publishes a poisoned aggregate;
-     its own outputs are recomputed from the exclusive carry, so the
-     damage reaches successors only. *)
-  let lookback_ops ~aggregate ~chain =
+     [chain] kernels.  A poisoned chunk (faulted replay only) publishes a
+     poisoned aggregate, and [poison_outputs] writes the garbage into its
+     own outputs after the chain recomputes them — the replay runs each
+     chunk's task without interleaving, so the mark set by [poison] is the
+     next [apply]'s. *)
+  let lookback_ops ?(poison_outputs = fun ~base:_ ~len:_ -> ()) ~aggregate
+      ~chain () =
+    let poisoned = ref (-1) in
     {
       L.local = aggregate;
       combine = (fun (pa, pb) (p, y) -> (S.mul pa p, S.add (S.mul pa y) pb));
-      apply = (fun ~base ~len (_, y0) -> chain ~base ~len ~y0);
+      apply =
+        (fun ~base ~len (_, y0) ->
+          chain ~base ~len ~y0;
+          if !poisoned = base then poison_outputs ~base ~len);
       equal = (fun (p, y) (p', y') -> scalar_equal p p' && scalar_equal y y');
-      poison = (fun ~base:_ ~len:_ (pa, _) -> (pa, poison));
+      poison =
+        (fun ~base ~len:_ (pa, _) ->
+          poisoned := base;
+          (pa, poison));
       correct_arg = 0;
     }
 
@@ -326,15 +336,21 @@ module Make (S : Plr_util.Scalar.S) = struct
     done;
     (!p, !acc)
 
-  (* A single chunk needs no protocol: the chain is the whole answer. *)
-  let run_ops ?window ~cancel ~pool ~n ~m ~y0 ~aggregate ~chain () =
-    if n <= m then begin
+  (* The look-back protocol live on the pool, or the deterministic replay
+     under a non-inert [faults] plan.  An unfaulted single chunk needs no
+     protocol: the chain is the whole answer. *)
+  let run_ops ?window ?poison_outputs ?(faults = Faults.none) ~cancel ~pool ~n
+      ~m ~y0 ~aggregate ~chain () =
+    let ops = lookback_ops ?poison_outputs ~aggregate ~chain () in
+    if not (Faults.is_none faults) then
+      L.run_faulted ~faults ~start:(Some (S.one, y0)) ops ~n ~m
+    else if n <= m then begin
       Cancel.check cancel;
       chain ~base:0 ~len:n ~y0
     end
     else
-      L.run ?window ~cancel ~pool ~start:(Some (S.one, y0))
-        (lookback_ops ~aggregate ~chain) ~n ~m
+      L.run ?window ~cancel ~pool:(Lazy.force pool) ~start:(Some (S.one, y0))
+        ops ~n ~m
 
   (* ---------------------------------------------------- entry points *)
 
@@ -364,7 +380,7 @@ module Make (S : Plr_util.Scalar.S) = struct
         let pool = resolve_pool ?pool ?domains () in
         let m = resolve_m ?chunk_size ~pool n in
         L.traced ~n ~m @@ fun () ->
-        run_ops ?window ~cancel ~pool ~n ~m ~y0
+        run_ops ?window ~cancel ~pool:(Lazy.from_val pool) ~n ~m ~y0
           ~aggregate:(aggregate_f ~f32 a b : base:int -> len:int -> S.t * S.t)
           ~chain:(chain_f ~f32 a b dst : base:int -> len:int -> y0:S.t -> unit)
           ()
@@ -399,19 +415,19 @@ module Make (S : Plr_util.Scalar.S) = struct
       | rep ->
           L.traced ~n ~m @@ fun () : S.t array ->
           let y = Array.make n S.zero in
-          let run = run_ops ?window ~cancel ~n ~m ~y0 in
+          let run = run_ops ?window ~faults ~cancel ~pool ~n ~m ~y0 in
           (match rep with
           | Plr_util.Scalar.Int_rep when unfaulted ->
-              run ~pool:(Lazy.force pool)
+              run
                 ~aggregate:(aggregate_i a b : base:int -> len:int -> S.t * S.t)
                 ~chain:(chain_i a b y : base:int -> len:int -> y0:S.t -> unit)
                 ()
           | _ ->
-              let aggregate = aggregate_s ~a ~b and chain = chain_s ~a ~b y in
-              if unfaulted then run ~pool:(Lazy.force pool) ~aggregate ~chain ()
-              else
-                L.run_faulted ~faults ~start:(Some (S.one, y0))
-                  (lookback_ops ~aggregate ~chain) ~n ~m);
+              run
+                ~poison_outputs:(fun ~base ~len ->
+                  y.(base) <- poison;
+                  y.(base + len - 1) <- poison)
+                ~aggregate:(aggregate_s ~a ~b) ~chain:(chain_s ~a ~b y) ());
           y
     end
 
@@ -448,33 +464,32 @@ module Make (S : Plr_util.Scalar.S) = struct
       mutable fastforwards : int;
     }
 
-    (* Clean pieces run the serial chain from the exact carry: bitwise
-       identical to the serial reference over the concatenated stream.
-       A faulted piece runs the engine under the injected plan and is
+    (* Exactly the state transition of one data piece, so recovery replay
+       goes through this same code and reproduces the state bit-for-bit.
+       Clean pieces run the serial chain from the exact carry: bitwise
+       identical to the serial reference over the concatenated stream.  A
+       faulted piece runs the engine under the injected plan and is
        verified whole before any state commits, so silent divergence is
        structurally impossible on this path. *)
-    let solve_piece st ~seed ~a ~b =
-      match seed with
-      | None -> serial ~y0:st.y a b
-      | Some seed ->
-          let n = Array.length a in
-          let m = max 1 (min Recoverable.faulted_chunk n) in
-          let faults =
-            Faults.random ~seed ~chunks:((n + m - 1) / m) ~lanes:2
-              ~max_events:3 ()
-          in
-          Lookback.verified ~agree:(S.approx_equal ~tol:st.tol)
-            ~expected:(serial ~y0:st.y a b) (fun () ->
-              run ~faults ~pool:st.pool ~chunk_size:Recoverable.faulted_chunk
-                ~y0:st.y a b)
-
-    (* Exactly the state transition of one data piece, so recovery replay
-       goes through this same code and reproduces the state bit-for-bit. *)
     let process_data ?seed st ~a ~b =
       let n = Array.length a in
       if n = 0 then [||]
       else begin
-        let y = solve_piece st ~seed ~a ~b in
+        let expected = serial ~y0:st.y a b in
+        let y =
+          match seed with
+          | None -> expected
+          | Some seed ->
+              let m = max 1 (min Recoverable.faulted_chunk n) in
+              let faults =
+                Faults.random ~seed ~chunks:((n + m - 1) / m) ~lanes:2
+                  ~max_events:3 ()
+              in
+              Lookback.verified ~agree:(S.approx_equal ~tol:st.tol) ~expected
+                (fun () ->
+                  run ~faults ~pool:st.pool
+                    ~chunk_size:Recoverable.faulted_chunk ~y0:st.y a b)
+        in
         st.y <- y.(n - 1);
         st.pos <- st.pos + n;
         y

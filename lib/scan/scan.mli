@@ -123,7 +123,8 @@ module Make (S : Plr_util.Scalar.S) : sig
       ({!Plr_exec.Lookback.Make.run_faulted}: sequential, under the plan's
       completion permutation), which raises {!Fault_detected} on dropped
       publications and failed carry verification; a poisoned chunk
-      publishes a poisoned aggregate. *)
+      publishes a poisoned aggregate and writes garbage into its own
+      first and last outputs. *)
 
   val run_into :
     ?cancel:Cancel.t ->

@@ -314,7 +314,21 @@ let test_faulted_pins () =
   expect_detected "corrupt carry (a lane)"
     (plan [ ev Faults.Corrupt_carry 1 0 ]);
   expect_detected "corrupt carry (b lane)"
-    (plan [ ev Faults.Corrupt_carry 1 1 ])
+    (plan [ ev Faults.Corrupt_carry 1 1 ]);
+  (* A poisoned chunk publishes a poisoned aggregate and carries the
+     garbage in its own first and last outputs — the final chunk too,
+     though no successor reads its aggregate. *)
+  let poisoned c =
+    let y = Sc_i.run ~faults:(plan [ ev Faults.Poison_chunk c 0 ]) ~chunk_size:16 a b in
+    (y.(c * 16), y.((c * 16) + 15), y.((c + 1) * 16 mod n))
+  in
+  let first, last, next = poisoned 2 in
+  check_ints "poisoned chunk's own outputs" [| 0x5EED_BAD; 0x5EED_BAD |]
+    [| first; last |];
+  check_bool "successor folds the poisoned aggregate" true (next <> expected.(48));
+  let first, last, _ = poisoned 7 in
+  check_ints "poisoned final chunk's own outputs" [| 0x5EED_BAD; 0x5EED_BAD |]
+    [| first; last |]
 
 let test_chaos_scan_campaign () =
   (* Benign kinds must recover exactly on every trial. *)

@@ -501,6 +501,60 @@ let test_session_matches_stream () =
     ~stream:(Stream_i.process (Stream_i.create ~domains:2 s))
     ~bits:Int64.of_int "order2 (int)" (pieces 16)
 
+(* F32 outputs depend on the chunk boundaries, so recovery and migration
+   must chunk every replayed piece exactly as the original run did.  One
+   session is crashed back to its position-0 checkpoint (replay on a
+   stream that already holds a factor plan), migrated to a fresh stream
+   on another pool with a journal past a later checkpoint, corrupted,
+   and engine-faulted; its outputs must stay bitwise those of an
+   undisturbed session. *)
+module Sess_f = Plr_serve.Session.Make (Scalar.F32)
+
+let test_session_recover_migrate_f32 () =
+  let home = Pool.create ~domains:2 () and away = Pool.create ~domains:2 () in
+  Fun.protect
+    ~finally:(fun () ->
+      Pool.shutdown home;
+      Pool.shutdown away)
+  @@ fun () ->
+  let g = Plr_util.Splitmix.create 31 in
+  let pieces =
+    Array.init 12 (fun _ ->
+        Array.init 4096 (fun _ ->
+            float_of_int (Plr_util.Splitmix.int_in g ~lo:(-9) ~hi:9)))
+  in
+  List.iter
+    (fun (e : Table1.entry) ->
+      let s = Signature.map Plr_util.F32.round e.Table1.signature in
+      let plain = Sess_f.create ~pool:home s in
+      let moved = Sess_f.create ~pool:home ~checkpoint_every:(3 * 4096) s in
+      Array.iteri
+        (fun p x ->
+          if p = 4 then Sess_f.migrate moved ~pool:away;
+          let fault =
+            match p with
+            | 2 -> Some Plr_serve.Session.Crash
+            | 7 -> Some Plr_serve.Session.Corrupt_state
+            | 10 -> Some (Plr_serve.Session.Engine_fault 5)
+            | _ -> None
+          in
+          let want = Sess_f.process plain x
+          and got = Sess_f.process ?fault moved x in
+          Array.iteri
+            (fun i v ->
+              if Int64.bits_of_float v <> Int64.bits_of_float got.(i) then
+                Alcotest.failf "%s: piece %d element %d differs after recovery"
+                  e.Table1.name p i)
+            want)
+        pieces;
+      let st = Sess_f.stats moved in
+      Alcotest.(check int) (e.Table1.name ^ ": migrated once") 1
+        st.Sess_f.migrations;
+      if st.Sess_f.recoveries < 3 then
+        Alcotest.failf "%s: %d recoveries, expected at least 3" e.Table1.name
+          st.Sess_f.recoveries)
+    Table1.float_entries
+
 (* Per-shard rows must reconcile with the global counters under a
    concurrent mixed hammer (plain requests across the local and pooled
    paths, plus scans). *)
@@ -641,6 +695,8 @@ let () =
             test_shard_metrics_sum;
           Alcotest.test_case "session output is the stream's" `Quick
             test_session_matches_stream;
+          Alcotest.test_case "F32 session recovery and migration bitwise" `Quick
+            test_session_recover_migrate_f32;
           Alcotest.test_case "affinity stable" `Quick
             test_shard_affinity_stable ] );
       ( "metrics",
