@@ -10,6 +10,30 @@ let mask_set m i =
 
 let mask_get m i = Char.code (Bytes.get m (i lsr 3)) land (1 lsl (i land 7)) <> 0
 
+(* Helpers of the unboxed sweeps, outside the functor so the compiler can
+   inline them.  Binary32 rounding goes through the sweep's own
+   {!Plr_util.F32.cell}: inline conversions, bitwise the [Int32] round
+   trip of {!Plr_util.Scalar.F32}. *)
+let[@inline] round f32 (cell : Plr_util.F32.cell) v =
+  if f32 then begin
+    Bigarray.Array1.unsafe_set cell 0 v;
+    Bigarray.Array1.unsafe_get cell 0
+  end
+  else v
+
+(* [y(i) <- y(i) + p], rounded as the boxed evaluator rounds it.  [y(i)]
+   is bound first: written inline, the load would become the second
+   operand, and of two NaN operands x86 returns the first. *)
+let[@inline] add_f f32 cell (y : Plr_util.Buf.t) i p =
+  let yi = Bigarray.Array1.unsafe_get y i in
+  Bigarray.Array1.unsafe_set y i (round f32 cell (yi +. p))
+
+let[@inline] add_i (y : int array) i v =
+  Array.unsafe_set y i (Array.unsafe_get y i + v)
+
+(* The first offset [q >= 0] whose factor index [q0 + q] is [r] mod [p]. *)
+let first_at ~p ~q0 r = (((r - q0) mod p) + p) mod p
+
 module Make (S : Plr_util.Scalar.S) = struct
   module A = Analysis.Make (S)
   module Nnacci = Plr_nnacci.Nnacci.Make (S)
@@ -215,115 +239,115 @@ module Make (S : Plr_util.Scalar.S) = struct
   (* Monomorphic sweeps for the unboxed CPU backends.  Matching on [S.rep]
      refines [S.t], so [stored : S.t array] below really is a flat
      [float array] / [int array] and every operation compiles without
-     boxing.  The accumulation order (and, for F32, the round-after-every-
-     operation sequence) replicates [apply_list] exactly, so results are
-     bitwise identical to the generic evaluator. *)
+     boxing.  The range is checked once and the loops run unchecked.  A
+     periodic 0/1 list is one strided pass per one-position of its period
+     — an element takes at most one add per list, so the visiting order
+     cannot change a bit — and a repeating list walks its period with a
+     wrapping index instead of a per-element [mod].  Per element, the
+     accumulation order (and, for F32, the round after every operation)
+     replicates [apply_list] exactly, so results are bitwise identical to
+     the generic evaluator. *)
+
+  let check_range name t ~q0 ~ylen ~base ~len =
+    if base < 0 || len < 0 || base + len > ylen || q0 < 0 || q0 + len > t.m
+    then invalid_arg (name ^ ": range out of bounds")
 
   let apply_list_f ?(q0 = 0) t ~j ~(carry : S.t) (y : Plr_util.Buf.t) ~base ~len =
     match S.rep with
-    | Plr_util.Scalar.Float_rep rounding ->
-        if base < 0 || len < 0 || base + len > Plr_util.Buf.length y then
-          invalid_arg "Factor_plan.apply_list_f: range out of bounds";
+    | Plr_util.Scalar.Float_rep rounding -> (
+        check_range "Factor_plan.apply_list_f" t ~q0
+          ~ylen:(Plr_util.Buf.length y) ~base ~len;
         let f32 = rounding = Plr_util.Scalar.Round_f32 in
-        let open Bigarray.Array1 in
-        (match t.compiled.(j) with
+        let cell = Plr_util.F32.cell () in
+        match t.compiled.(j) with
         | All_equal f ->
-            if S.is_zero f then ()
-            else if S.is_one f then
-              for q = 0 to len - 1 do
-                let i = base + q in
-                let v = unsafe_get y i +. carry in
-                unsafe_set y i
-                  (if f32 then Int32.float_of_bits (Int32.bits_of_float v) else v)
-              done
-            else begin
-              (* [S.mul f carry] is loop-invariant (same rounded product every
-                 iteration in the boxed evaluator), so hoisting preserves bits. *)
+            if not (S.is_zero f) then begin
+              (* [S.mul f carry] is loop-invariant (same rounded product
+                 every iteration in the boxed evaluator), so hoisting
+                 preserves bits; a one adds the carry itself. *)
               let fc =
-                let p = f *. carry in
-                if f32 then Int32.float_of_bits (Int32.bits_of_float p) else p
+                if S.is_one f then carry else round f32 cell (f *. carry)
               in
-              for q = 0 to len - 1 do
-                let i = base + q in
-                let v = unsafe_get y i +. fc in
-                unsafe_set y i
-                  (if f32 then Int32.float_of_bits (Int32.bits_of_float v) else v)
+              for i = base to base + len - 1 do
+                add_f f32 cell y i fc
               done
             end
-        | Zero_one { ones; _ } ->
-            for q = 0 to len - 1 do
-              if mask_get ones (q0 + q) then begin
-                let i = base + q in
-                let v = unsafe_get y i +. carry in
-                unsafe_set y i
-                  (if f32 then Int32.float_of_bits (Int32.bits_of_float v) else v)
+        | Zero_one { period = Some p; ones } ->
+            for r = 0 to p - 1 do
+              if mask_get ones r then begin
+                let q = ref (first_at ~p ~q0 r) in
+                while !q < len do
+                  add_f f32 cell y (base + !q) carry;
+                  q := !q + p
+                done
               end
             done
-        | Repeating { period; stored } ->
+        | Zero_one { period = None; ones } ->
             for q = 0 to len - 1 do
-              let s = stored.((q0 + q) mod period) in
-              let p = s *. carry in
-              let p = if f32 then Int32.float_of_bits (Int32.bits_of_float p) else p in
-              let i = base + q in
-              let v = unsafe_get y i +. p in
-              unsafe_set y i
-                (if f32 then Int32.float_of_bits (Int32.bits_of_float v) else v)
+              if mask_get ones (q0 + q) then add_f f32 cell y (base + q) carry
+            done
+        | Repeating { period; stored } ->
+            let r = ref (q0 mod period) in
+            for i = base to base + len - 1 do
+              let p = Array.unsafe_get stored !r *. carry in
+              add_f f32 cell y i (round f32 cell p);
+              incr r;
+              if !r = period then r := 0
             done
         | Decayed { cutoff; stored } ->
-            let hi = min len (cutoff - q0) in
-            for q = 0 to hi - 1 do
-              let s = stored.(q0 + q) in
-              let p = s *. carry in
-              let p = if f32 then Int32.float_of_bits (Int32.bits_of_float p) else p in
-              let i = base + q in
-              let v = unsafe_get y i +. p in
-              unsafe_set y i
-                (if f32 then Int32.float_of_bits (Int32.bits_of_float v) else v)
+            (* Decayed-tail skip: everything past the cutoff keeps its value. *)
+            for q = 0 to min len (cutoff - q0) - 1 do
+              let p = Array.unsafe_get stored (q0 + q) *. carry in
+              add_f f32 cell y (base + q) (round f32 cell p)
             done
         | Dense l ->
             for q = 0 to len - 1 do
-              let s = l.(q0 + q) in
-              let p = s *. carry in
-              let p = if f32 then Int32.float_of_bits (Int32.bits_of_float p) else p in
-              let i = base + q in
-              let v = unsafe_get y i +. p in
-              unsafe_set y i
-                (if f32 then Int32.float_of_bits (Int32.bits_of_float v) else v)
+              let p = Array.unsafe_get l (q0 + q) *. carry in
+              add_f f32 cell y (base + q) (round f32 cell p)
             done)
     | _ -> invalid_arg "Factor_plan.apply_list_f: not a float scalar"
 
   let apply_list_int ?(q0 = 0) t ~j ~(carry : S.t) (y : int array) ~base ~len =
     match S.rep with
     | Plr_util.Scalar.Int_rep -> (
+        check_range "Factor_plan.apply_list_int" t ~q0 ~ylen:(Array.length y)
+          ~base ~len;
         match t.compiled.(j) with
         | All_equal f ->
-            if f = 0 then ()
-            else if f = 1 then
-              for q = 0 to len - 1 do
-                y.(base + q) <- y.(base + q) + carry
-              done
-            else begin
+            if f <> 0 then begin
               let fc = f * carry in
-              for q = 0 to len - 1 do
-                y.(base + q) <- y.(base + q) + fc
+              for i = base to base + len - 1 do
+                add_i y i fc
               done
             end
-        | Zero_one { ones; _ } ->
+        | Zero_one { period = Some p; ones } ->
+            for r = 0 to p - 1 do
+              if mask_get ones r then begin
+                let q = ref (first_at ~p ~q0 r) in
+                while !q < len do
+                  add_i y (base + !q) carry;
+                  q := !q + p
+                done
+              end
+            done
+        | Zero_one { period = None; ones } ->
             for q = 0 to len - 1 do
-              if mask_get ones (q0 + q) then y.(base + q) <- y.(base + q) + carry
+              if mask_get ones (q0 + q) then add_i y (base + q) carry
             done
         | Repeating { period; stored } ->
-            for q = 0 to len - 1 do
-              y.(base + q) <- y.(base + q) + (stored.((q0 + q) mod period) * carry)
+            let r = ref (q0 mod period) in
+            for i = base to base + len - 1 do
+              add_i y i (Array.unsafe_get stored !r * carry);
+              incr r;
+              if !r = period then r := 0
             done
         | Decayed { cutoff; stored } ->
-            let hi = min len (cutoff - q0) in
-            for q = 0 to hi - 1 do
-              y.(base + q) <- y.(base + q) + (stored.(q0 + q) * carry)
+            for q = 0 to min len (cutoff - q0) - 1 do
+              add_i y (base + q) (Array.unsafe_get stored (q0 + q) * carry)
             done
         | Dense l ->
             for q = 0 to len - 1 do
-              y.(base + q) <- y.(base + q) + (l.(q0 + q) * carry)
+              add_i y (base + q) (Array.unsafe_get l (q0 + q) * carry)
             done)
     | _ -> invalid_arg "Factor_plan.apply_list_int: not an int scalar"
 

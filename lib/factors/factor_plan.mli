@@ -94,7 +94,9 @@ module Make (S : Plr_util.Scalar.S) : sig
       otherwise); the refined branch replicates the generic evaluator's
       operation/rounding sequence exactly, so results are bitwise
       identical — including the emulated-binary32 round after every add
-      and multiply. *)
+      and multiply.  The range is checked once, up front: an output
+      window outside the buffer, or factor indices [q0 .. q0+len-1]
+      outside the plan's [m], raise [Invalid_argument]. *)
 
   val apply_list_int :
     ?q0:int ->
@@ -107,7 +109,8 @@ module Make (S : Plr_util.Scalar.S) : sig
     unit
   (** {!apply_list} monomorphized onto a flat [int array].  Only valid
       when [S.rep] is [Int_rep] (raises [Invalid_argument] otherwise);
-      bitwise identical to the generic evaluator. *)
+      bitwise identical to the generic evaluator, with the range checked
+      as in {!apply_list_f}. *)
 
   val effective : t -> int -> S.t Analysis.t
   (** The analysis of list [j] as the optimizer sees it after [opts]

@@ -195,6 +195,7 @@ module Make (S : Plr_util.Scalar.S) = struct
   let run_into t ~(src : Plr_util.Buf.t) ~(dst : Plr_util.Buf.t) : bool =
     match S.rep with
     | Plr_util.Scalar.Float_rep _ -> (
+        Plr_util.Buf.check_into "Jit.Backend.run_into" ~src ~dst;
         match (Atomic.get t.cell, Atomic.get t.validation) with
         | Jit.Ready fns, Validated ->
             let n = Plr_util.Buf.length src in

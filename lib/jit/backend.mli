@@ -64,7 +64,10 @@ module Make (S : Plr_util.Scalar.S) : sig
   val run_into : t -> src:Plr_util.Buf.t -> dst:Plr_util.Buf.t -> bool
   (** {!run} over unboxed float64 storage (float scalars only; [false]
       for int scalars or whenever {!run} would answer [None]).  The
-      first call routes through the boxed verifier. *)
+      first call routes through the boxed verifier.  [dst] must not
+      overlap [src]: on a float scalar, a [dst] shorter than [src], or
+      [src] itself, raises [Invalid_argument]
+      ({!Plr_util.Buf.check_into}) before the kernel runs. *)
 
   val run_chunked : t -> m:int -> S.t array -> S.t array option
   (** The §3 two-phase chunked kernel with per-class specialized

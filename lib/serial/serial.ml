@@ -41,8 +41,7 @@ module Make (S : Plr_util.Scalar.S) = struct
     | Plr_util.Scalar.Float_rep rounding ->
         let module A1 = Bigarray.Array1 in
         let n = Plr_util.Buf.length src in
-        if Plr_util.Buf.length dst < n then
-          invalid_arg "Serial.full_into: dst too short";
+        Plr_util.Buf.check_into "Serial.full_into" ~src ~dst;
         let f32 = rounding = Plr_util.Scalar.Round_f32 in
         let forward = s.Signature.forward and feedback = s.Signature.feedback in
         let p = Array.length forward in

@@ -22,7 +22,9 @@ module Make (S : Plr_util.Scalar.S) : sig
   val full_into : S.t Signature.t -> src:Plr_util.Buf.t -> dst:Plr_util.Buf.t -> unit
   (** {!full} on unboxed {!Plr_util.Buf.t} float64 storage (float scalars
       only — raises [Invalid_argument] otherwise).  Writes the first
-      [Buf.length src] elements of the caller-allocated [dst]; the
+      [Buf.length src] elements of the caller-allocated [dst], which must
+      not overlap [src]: a [dst] shorter than [src], or [src] itself,
+      raises [Invalid_argument] ({!Plr_util.Buf.check_into}).  The
       operation and rounding sequence replicates {!full} exactly, so the
       result is bitwise identical.  The boxed {!full} remains the
       reference every backend is validated against. *)

@@ -14,6 +14,10 @@ let fill (b : t) v = Bigarray.Array1.fill b v
 let sub (b : t) ~pos ~len : t = Bigarray.Array1.sub b pos len
 let blit ~(src : t) ~(dst : t) = Bigarray.Array1.blit src dst
 
+let check_into what ~(src : t) ~(dst : t) =
+  if length dst < length src then invalid_arg (what ^ ": dst too short");
+  if src == dst then invalid_arg (what ^ ": dst is src")
+
 let blit_range ~(src : t) ~src_pos ~(dst : t) ~dst_pos ~len =
   if len > 0 then
     Bigarray.Array1.blit

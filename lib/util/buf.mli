@@ -43,6 +43,16 @@ val blit : src:t -> dst:t -> unit
 
 val blit_range : src:t -> src_pos:int -> dst:t -> dst_pos:int -> len:int -> unit
 
+val check_into : string -> src:t -> dst:t -> unit
+(** [check_into what ~src ~dst] enforces the buffer contract of the
+    [*_into] evaluators: [dst] holds at least [length src] elements and
+    is not [src] itself, since an evaluator writes an output before it
+    has read every input that output's successors need.  Raises
+    [Invalid_argument] prefixed with [what] otherwise.  Views of one
+    buffer made with {!sub} are distinct values, so an overlap between
+    them is not caught here: the evaluators document that [dst] must not
+    overlap [src]. *)
+
 val of_array : float array -> t
 (** Boundary conversion: copies a boxed [float array] into fresh unboxed
     storage. *)

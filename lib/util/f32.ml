@@ -2,6 +2,10 @@ type t = float
 
 let round (x : float) : t = Int32.float_of_bits (Int32.bits_of_float x)
 let of_float = round
+
+type cell = (float, Bigarray.float32_elt, Bigarray.c_layout) Bigarray.Array1.t
+
+let cell () : cell = Bigarray.Array1.create Bigarray.float32 Bigarray.c_layout 1
 let add a b = round (a +. b)
 let sub a b = round (a -. b)
 let mul a b = round (a *. b)

@@ -23,6 +23,20 @@ val neg : t -> t
 val of_float : float -> t
 (** Alias of {!round}. *)
 
+type cell = (float, Bigarray.float32_elt, Bigarray.c_layout) Bigarray.Array1.t
+(** A one-element binary32 store.  Writing a float into it rounds to the
+    nearest binary32 and reading it back widens exactly, so a store and a
+    load compute {!round}, bitwise for every float (NaN payloads
+    included), with the two conversion instructions the compiler emits
+    inline, where {!round} calls two C externals.  The unboxed kernels
+    write that store and load out at each rounding step (the type is
+    exposed so the access compiles to those instructions); each kernel
+    call takes its own cell, since two domains sharing one would race on
+    it. *)
+
+val cell : unit -> cell
+(** A fresh cell. *)
+
 val smallest_normal : float
 (** [2{^ -126}], the smallest positive normal float32. *)
 

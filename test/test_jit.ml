@@ -183,6 +183,34 @@ let test_sweep_f64 () =
   in
   Sweep_f64.sweep ~extra_sigs:table1 ()
 
+(* ------------------------------------------------ run_into contract *)
+
+(* A validated kernel writes [Buf.length src] outputs straight through
+   [dst]'s pointer: a short [dst] would write past its end, and
+   [dst == src] would read inputs it has already overwritten.  Both are
+   refused before the kernel runs. *)
+let test_run_into_contract () =
+  skip_without_cc ();
+  let lp2 = Signature.map Plr_util.F32.round Table1.low_pass2.Table1.signature in
+  let fplan = JBf.F.of_feedback ~feedback:lp2.Signature.feedback ~m:64 () in
+  let jb =
+    match JBf.prepare ~mode:`Sync ~fplan lp2 with
+    | Some jb -> jb
+    | None -> Alcotest.fail "prepare returned None with a toolchain present"
+  in
+  let n = 1 lsl 16 in
+  let src = Buf.init n (fun i -> Plr_util.F32.round (sin (float_of_int i))) in
+  check_bool "first use validates" true (JBf.run_into jb ~src ~dst:(Buf.create n));
+  check_bool "validated" true (JBf.validated jb);
+  let rejects what dst =
+    check_bool what true
+      (match JBf.run_into jb ~src ~dst with
+      | _ -> false
+      | exception Invalid_argument _ -> true)
+  in
+  rejects "short dst raises" (Buf.create 16);
+  rejects "dst == src raises" src
+
 (* --------------------------------------------------- degradation pins *)
 
 let prefix_sum = int_sig [| 1 |] [| 1 |]
@@ -309,6 +337,8 @@ let () =
           Alcotest.test_case "int sweep" `Quick test_sweep_int;
           Alcotest.test_case "f32 sweep (Table 1)" `Quick test_sweep_f32;
           Alcotest.test_case "f64 sweep (Table 1)" `Quick test_sweep_f64;
+          Alcotest.test_case "run_into rejects a bad dst" `Quick
+            test_run_into_contract;
         ] );
       ( "degradation",
         [
