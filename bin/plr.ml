@@ -949,8 +949,8 @@ module Serve = Plr_serve.Serve
 module Serve_f32 = Plr_serve.Serve.Make (Scalar.F32)
 module Load_f32 = Plr_serve.Load.Make (Scalar.F32)
 
-let cmd_serve_bench clients seconds zipf deadline_ms depth no_batch no_guard
-    autotune shards steal_threshold open_loop slo_ms domains seed json_path =
+let cmd_serve_bench clients seconds zipf deadline_ms depth no_guard autotune
+    shards steal_threshold open_loop slo_ms domains seed json_path =
   require_positive "--clients" clients;
   require_positive "--depth" depth;
   require_positive "--seed" seed;
@@ -966,7 +966,6 @@ let cmd_serve_bench clients seconds zipf deadline_ms depth no_batch no_guard
     {
       Serve.default_config with
       Serve.max_inflight = depth;
-      batching = not no_batch;
       guard = not no_guard;
       autotune;
       shards;
@@ -1023,16 +1022,21 @@ let cmd_trace text n domain domains out =
       let fs = Signature.map Plr_util.F32.round s in
       ignore (Engine_f32.run ~spec fs (random_f32_input sim_n));
       ignore (Multi_f32.run ?domains fs (random_f32_input n)));
-  (* Serving layer: requests big enough for the pooled path (so the
-     serve→pool flow arrows appear) plus small ones for the batcher. *)
+  (* Serving layer: recurrence and scan requests big enough for the
+     pooled path (so the serve→pool flow arrows appear) plus small
+     recurrence requests that run on the calling domain. *)
   let fs = Signature.map Plr_util.F32.round s in
   let server = Serve_f32.create ?domains () in
   let cfg = Serve.default_config in
   let big = max n (cfg.Serve.parallel_threshold + 1) in
-  for _ = 1 to 2 do
-    match Serve_f32.submit server fs (random_f32_input big) with
+  let served = function
     | Ok _ -> ()
     | Error e -> failwith ("serve request failed: " ^ Serve.error_to_string e)
+  in
+  let x = random_f32_input big in
+  for _ = 1 to 2 do
+    served (Serve_f32.submit server fs x);
+    served (Serve_f32.submit_scan server x x)
   done;
   for _ = 1 to 2 do
     ignore (Serve_f32.submit server fs (random_f32_input 1024))
@@ -1408,10 +1412,6 @@ let serve_bench_cmd =
            ~doc:"Admission bound: concurrently admitted requests beyond \
                  $(docv) are rejected as overloaded.")
   in
-  let no_batch =
-    Arg.(value & flag & info [ "no-batch" ]
-           ~doc:"Disable fusing of small same-signature requests.")
-  in
   let no_guard =
     Arg.(value & flag & info [ "no-guard" ]
            ~doc:"Run pooled requests without the stability guard.")
@@ -1457,28 +1457,27 @@ let serve_bench_cmd =
     Arg.(value & opt (some string) None & info [ "json" ] ~docv:"FILE"
            ~doc:"Also write the report as machine-readable JSON to $(docv).")
   in
-  let run clients seconds zipf deadline_ms depth no_batch no_guard autotune
-      shards steal_threshold open_loop slo domains seed json trace_path =
+  let run clients seconds zipf deadline_ms depth no_guard autotune shards
+      steal_threshold open_loop slo domains seed json trace_path =
     wrap (fun () ->
         with_trace trace_path (fun () ->
-            cmd_serve_bench clients seconds zipf deadline_ms depth no_batch
-              no_guard autotune shards steal_threshold open_loop slo domains
-              seed json))
+            cmd_serve_bench clients seconds zipf deadline_ms depth no_guard
+              autotune shards steal_threshold open_loop slo domains seed json))
   in
   Cmd.v
     (Cmd.info "serve-bench"
        ~doc:
          "Load benchmark of the serving layer: clients draw Table 1 \
           signatures with Zipf-skewed popularity and submit them through \
-          the sharded plan cache, batcher, and guard, printing throughput, \
+          the sharded plan cache and guard, printing throughput, \
           latency percentiles, and the full metrics snapshot.  Closed-loop \
           by default; $(b,--open-loop) switches to a fixed arrival \
           schedule with goodput-under-SLO reporting, and $(b,--shards) \
           runs the signature-affinity sharded server.")
     Term.(
       ret
-        (const run $ clients $ seconds $ zipf $ deadline_ms $ depth $ no_batch
-        $ no_guard $ autotune $ shards $ steal_threshold $ open_loop $ slo
+        (const run $ clients $ seconds $ zipf $ deadline_ms $ depth $ no_guard
+        $ autotune $ shards $ steal_threshold $ open_loop $ slo
         $ domains_arg $ seed $ json $ trace_arg))
 
 let scan_cmd =

@@ -61,6 +61,10 @@ module Make (S : Plr_util.Scalar.S) : sig
     ok : bool;                (** [output] passed every armed check *)
   }
 
+  val scan_non_finite : S.t array -> int option
+  (** The index of the first NaN or infinity in a floating output;
+      [None] for integer scalars.  The check behind {!Non_finite}. *)
+
   val run :
     ?tol:float -> ?check:check -> ?probe:int ->
     ?stability:Stability.report -> runner ->

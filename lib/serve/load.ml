@@ -12,8 +12,6 @@ type result = {
   degraded : int;
   plan_hits : int;
   plan_misses : int;
-  batches : int;
-  batched_requests : int;
   throughput : float;
   offered_rps : float;
   slo_ms : float option;
@@ -90,14 +88,13 @@ let render fmt r =
       r.shards r.steals r.session_migrations;
   Format.fprintf fmt
     "plan cache: %d hits / %d misses (%.1f%% hit rate)@,\
-     batches: %d fused covering %d requests@,\
      latency: p50 %.3f ms, p95 %.3f ms, p99 %.3f ms, mean %.3f ms@,\
      mix:@,"
     r.plan_hits r.plan_misses
     (let total = r.plan_hits + r.plan_misses in
      if total = 0 then 0.0
      else 100.0 *. float_of_int r.plan_hits /. float_of_int total)
-    r.batches r.batched_requests r.p50_ms r.p95_ms r.p99_ms r.mean_ms;
+    r.p50_ms r.p95_ms r.p99_ms r.mean_ms;
   List.iter
     (fun m -> Format.fprintf fmt "  %-12s weight %.3f@," m.name m.weight)
     r.mix;
@@ -117,8 +114,7 @@ let to_json ?meta r =
        \  \"requests\": %d,\n\
        \  \"ok\": %d,\n  \"rejected\": %d,\n  \"deadline_missed\": %d,\n\
        \  \"failed\": %d,\n  \"degraded\": %d,\n  \"plan_hits\": %d,\n\
-       \  \"plan_misses\": %d,\n  \"batches\": %d,\n\
-       \  \"batched_requests\": %d,\n  \"throughput_rps\": %s,\n\
+       \  \"plan_misses\": %d,\n  \"throughput_rps\": %s,\n\
        \  \"offered_rps\": %s,\n  \"slo_ms\": %s,\n  \"under_slo\": %d,\n\
        \  \"goodput_rps\": %s,\n  \"shards\": %d,\n  \"steals\": %d,\n\
        \  \"session_migrations\": %d,\n\
@@ -126,8 +122,7 @@ let to_json ?meta r =
        \  \"mean_ms\": %s,\n"
        r.mode (json_float r.duration) r.clients r.requests r.ok r.rejected
        r.deadline_missed r.failed r.degraded r.plan_hits r.plan_misses
-       r.batches r.batched_requests (json_float r.throughput)
-       (json_float r.offered_rps)
+       (json_float r.throughput) (json_float r.offered_rps)
        (match r.slo_ms with Some s -> json_float s | None -> "null")
        r.under_slo (json_float r.goodput) r.shards r.steals
        r.session_migrations (json_float r.p50_ms) (json_float r.p95_ms)
@@ -200,8 +195,6 @@ module Make (S : Plr_util.Scalar.S) = struct
       degraded = Metrics.Counter.get m.Metrics.degraded;
       plan_hits = Metrics.Counter.get m.Metrics.plan_hits;
       plan_misses = Metrics.Counter.get m.Metrics.plan_misses;
-      batches = Metrics.Counter.get m.Metrics.batches;
-      batched_requests = Metrics.Counter.get m.Metrics.batched_requests;
       throughput;
       offered_rps;
       slo_ms;

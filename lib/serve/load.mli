@@ -38,8 +38,6 @@ type result = {
   degraded : int;
   plan_hits : int;
   plan_misses : int;
-  batches : int;
-  batched_requests : int;
   throughput : float;  (** completed requests per second *)
   offered_rps : float;  (** open loop: the scheduled arrival rate; else 0 *)
   slo_ms : float option;  (** open loop: the latency SLO; else [None] *)

@@ -120,8 +120,6 @@ type t = {
   tune_heuristic : Counter.t;
   jit_used : Counter.t;
   jit_fallback : Counter.t;
-  batches : Counter.t;
-  batched_requests : Counter.t;
   session_checkpoints : Counter.t;
   session_recoveries : Counter.t;
   session_fastforwards : Counter.t;
@@ -159,8 +157,6 @@ let create () =
     tune_heuristic = Counter.create ();
     jit_used = Counter.create ();
     jit_fallback = Counter.create ();
-    batches = Counter.create ();
-    batched_requests = Counter.create ();
     session_checkpoints = Counter.create ();
     session_recoveries = Counter.create ();
     session_fastforwards = Counter.create ();
@@ -175,7 +171,7 @@ let create () =
     total = Histogram.create ();
   }
 
-let snapshot_json ?pool ?tuning ?shards t =
+let snapshot_json ?tuning ?shards t =
   let b = Buffer.create 1024 in
   Buffer.add_string b "{\n";
   let counter name c = Printf.sprintf "  \"%s\": %d" name (Counter.get c) in
@@ -199,8 +195,6 @@ let snapshot_json ?pool ?tuning ?shards t =
       counter "tune_heuristic" t.tune_heuristic;
       counter "jit_used" t.jit_used;
       counter "jit_fallback" t.jit_fallback;
-      counter "batches" t.batches;
-      counter "batched_requests" t.batched_requests;
       counter "session_checkpoints" t.session_checkpoints;
       counter "session_recoveries" t.session_recoveries;
       counter "session_fastforwards" t.session_fastforwards;
@@ -228,16 +222,6 @@ let snapshot_json ?pool ?tuning ?shards t =
     @ (match shards with
       | None | Some "" -> []
       | Some s -> [ Printf.sprintf "  \"shards\": %s" s ])
-    @ (match pool with
-      | None -> []
-      | Some p ->
-          let s = Plr_exec.Pool.stats p in
-          [
-            Printf.sprintf
-              "  \"pool\": { \"size\": %d, \"jobs_completed\": %d, \"busy\": %b }"
-              s.Plr_exec.Pool.size s.Plr_exec.Pool.jobs_completed
-              s.Plr_exec.Pool.busy;
-          ])
     @
     (* When the trace sink is live, summarize it: event volume, loss, and
        the top spans by inclusive time (same aggregation as [plr trace]). *)

@@ -74,8 +74,6 @@ type t = {
       (** executions where a compiled entry's JIT declined (still
           building, build failed, poisoned) and the portable backend
           answered instead *)
-  batches : Counter.t;        (** fused batch executions *)
-  batched_requests : Counter.t; (** requests served through a fused batch *)
   session_checkpoints : Counter.t; (** session state snapshots taken *)
   session_recoveries : Counter.t;  (** session checkpoint restorations *)
   session_fastforwards : Counter.t;
@@ -92,7 +90,10 @@ type t = {
           is the difference *)
   scan_completed : Counter.t; (** scan requests that returned [Ok] *)
   scan_failed : Counter.t;    (** scan requests that returned [Failed] *)
-  queue_wait : Histogram.t;   (** admission to execution start *)
+  queue_wait : Histogram.t;
+      (** admission to execution start, once per attempt: the wait for
+          the shard's exec lock after the route decision on the pooled
+          path, 0 on the calling domain *)
   plan_build : Histogram.t;   (** plan-cache miss fill time *)
   exec : Histogram.t;         (** backend execution time *)
   total : Histogram.t;        (** submit to response, the client view *)
@@ -100,16 +101,14 @@ type t = {
 
 val create : unit -> t
 
-val snapshot_json :
-  ?pool:Plr_exec.Pool.t -> ?tuning:string -> ?shards:string -> t -> string
-(** One JSON object with every counter, every histogram, a ["kinds"]
-    block attributing submitted/completed/failed to the request kind
-    (["recurrence"] = the all-kinds totals minus the scan share,
-    ["scan"] = the scan_* counters), and — when
-    [pool] is given — the pool's {!Plr_exec.Pool.stats}.  [shards]
-    (when non-empty) is a pre-rendered JSON array of per-shard stat
-    objects (queue depth, steals in/out, migrations, affinity hit rate —
-    see {!Serve.Make.shard_stats}) echoed as a ["shards"] field.  [tuning]
+val snapshot_json : ?tuning:string -> ?shards:string -> t -> string
+(** One JSON object with every counter, every histogram, and a
+    ["kinds"] block attributing submitted/completed/failed to the
+    request kind (["recurrence"] = the all-kinds totals minus the scan
+    share, ["scan"] = the scan_* counters).  [shards] (when non-empty)
+    is a pre-rendered JSON array of per-shard stat objects (pool size,
+    queue depth, steals in/out, migrations, affinity hit rate — see
+    {!Serve.Make.shard_stats}) echoed as a ["shards"] field.  [tuning]
     (when non-empty) is echoed as a ["tuning"] field: the active
     schedule tuning and its source (cached | searched |
     heuristic-fallback), so serve-bench snapshots are attributable to

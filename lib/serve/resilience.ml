@@ -48,6 +48,50 @@ let pp_summary ppf s =
     (fun (seed, msg) -> Format.fprintf ppf "@,  seed %d: %s" seed msg)
     s.failures
 
+(* Run [trials] seeded trials.  A trial returns how its counters add to
+   the summary and its divergence, if any; a trial that raises is a
+   failure. *)
+let campaign ~trials ~seed_of trial =
+  let acc = ref (empty trials) in
+  for i = 0 to trials - 1 do
+    let seed = seed_of i in
+    let a = !acc in
+    acc :=
+      match trial seed with
+      | add, bad ->
+          let a = add a in
+          {
+            a with
+            faults_injected = a.faults_injected + 1;
+            bitwise_ok = (a.bitwise_ok + if bad = None then 1 else 0);
+            failures =
+              (match bad with
+              | None -> a.failures
+              | Some msg -> (seed, msg) :: a.failures);
+          }
+      | exception e ->
+          { a with failures = (seed, Printexc.to_string e) :: a.failures }
+  done;
+  { !acc with failures = List.rev !acc.failures }
+
+let add_session (st : Session_.stats) a =
+  {
+    a with
+    recoveries = a.recoveries + st.Session_.recoveries;
+    fastforwards = a.fastforwards + st.Session_.fastforwards;
+    checkpoints = a.checkpoints + st.Session_.checkpoints;
+  }
+
+(* A guaranteed-harmful fault: one carry corruption on a non-final
+   chunk (a purely random plan can be benign). *)
+let corrupt_carry ~chunks ~k i =
+  {
+    Faults.kind = Faults.Corrupt_carry;
+    chunk = i mod max 1 (chunks - 1);
+    lane = i mod k;
+    delay = 1;
+  }
+
 (* Campaigns run over the integer scalar on purpose: native wrap-around
    makes every engine path — pooled, serial, recovered, fast-forwarded —
    a computation in the same commutative ring, so "recovered correctly"
@@ -137,30 +181,11 @@ let session_trial ?pool ?domains ~checkpoint_every seed =
 
 let session_campaign ?pool ?domains ?(trials = 200) ?(checkpoint_every = 64)
     ~seed () =
-  let acc = ref (empty trials) in
-  for i = 0 to trials - 1 do
-    let trial_seed = seed + i in
-    let a = !acc in
-    match session_trial ?pool ?domains ~checkpoint_every trial_seed with
-    | st, _fault, bad ->
-        acc :=
-          {
-            a with
-            faults_injected = a.faults_injected + 1;
-            recoveries = a.recoveries + st.Session_.recoveries;
-            fastforwards = a.fastforwards + st.Session_.fastforwards;
-            checkpoints = a.checkpoints + st.Session_.checkpoints;
-            bitwise_ok = (a.bitwise_ok + if bad = None then 1 else 0);
-            failures =
-              (match bad with
-              | None -> a.failures
-              | Some msg -> (trial_seed, msg) :: a.failures);
-          }
-    | exception e ->
-        acc :=
-          { a with failures = (trial_seed, Printexc.to_string e) :: a.failures }
-  done;
-  { !acc with failures = List.rev !acc.failures }
+  campaign ~trials ~seed_of:(fun i -> seed + i) (fun seed ->
+      let st, _fault, bad =
+        session_trial ?pool ?domains ~checkpoint_every seed
+      in
+      (add_session st, bad))
 
 (* One serve trial: hammer one signature through [Serve.submit] with an
    injected engine fault plan on every request until the breaker trips,
@@ -201,14 +226,7 @@ let serve_trial ?pool ?domains ~(config : Serve.config) seed =
       Faults.random ~seed:(seed + (31 * i)) ~chunks ~lanes:k ~max_events:2 ()
     in
     let faults =
-      Faults.of_events
-        ({
-           Faults.kind = Faults.Corrupt_carry;
-           chunk = i mod max 1 (chunks - 1);
-           lane = i mod k;
-           delay = 1;
-         }
-        :: base.Faults.events)
+      Faults.of_events (corrupt_carry ~chunks ~k i :: base.Faults.events)
     in
     submit ~faults (Printf.sprintf "faulted #%d" i)
   done;
@@ -233,7 +251,6 @@ let serve_config =
     Serve.default_config with
     parallel_threshold = 256;
     chunk_size = 64;
-    batching = false;
     check_prefix = 4096;
     retries = 2;
     retry_backoff = 1e-4;
@@ -243,29 +260,15 @@ let serve_config =
 
 let serve_campaign ?pool ?domains ?(trials = 20) ?(config = serve_config)
     ~seed () =
-  let acc = ref (empty trials) in
-  for i = 0 to trials - 1 do
-    let trial_seed = seed + (1000 * i) in
-    let a = !acc in
-    match serve_trial ?pool ?domains ~config trial_seed with
-    | retries, trips, bad ->
-        acc :=
+  campaign ~trials ~seed_of:(fun i -> seed + (1000 * i)) (fun seed ->
+      let retries, trips, bad = serve_trial ?pool ?domains ~config seed in
+      ( (fun a ->
           {
             a with
-            faults_injected = a.faults_injected + 1;
             retries = a.retries + retries;
             breaker_trips = a.breaker_trips + trips;
-            bitwise_ok = (a.bitwise_ok + if bad = None then 1 else 0);
-            failures =
-              (match bad with
-              | None -> a.failures
-              | Some msg -> (trial_seed, msg) :: a.failures);
-          }
-    | exception e ->
-        acc :=
-          { a with failures = (trial_seed, Printexc.to_string e) :: a.failures }
-  done;
-  { !acc with failures = List.rev !acc.failures }
+          }),
+        bad ))
 
 (* One shard trial: a 2-shard server hammered from two domains with
    every request homed (by affinity) on the same shard — with the steal
@@ -298,16 +301,7 @@ let shard_trial ?domains ~(config : Serve.config) seed =
          corruption: steals must not dodge the guard. *)
       let faults =
         if i land 3 = 0 then
-          Some
-            (Faults.of_events
-               [
-                 {
-                   Faults.kind = Faults.Corrupt_carry;
-                   chunk = i mod max 1 (chunks - 1);
-                   lane = i mod k;
-                   delay = 1;
-                 };
-               ])
+          Some (Faults.of_events [ corrupt_carry ~chunks ~k i ])
         else None
       in
       match Serve_.submit ?faults server s x with
@@ -370,32 +364,15 @@ let shard_config =
   }
 
 let shard_campaign ?domains ?(trials = 6) ?(config = shard_config) ~seed () =
-  let acc = ref (empty trials) in
-  for i = 0 to trials - 1 do
-    let trial_seed = seed + (1000 * i) in
-    let a = !acc in
-    match shard_trial ?domains ~config trial_seed with
-    | st, steals, migrations, bad ->
-        acc :=
+  campaign ~trials ~seed_of:(fun i -> seed + (1000 * i)) (fun seed ->
+      let st, steals, migrations, bad = shard_trial ?domains ~config seed in
+      ( (fun a ->
           {
-            a with
-            faults_injected = a.faults_injected + 1;
-            recoveries = a.recoveries + st.Session_.recoveries;
-            fastforwards = a.fastforwards + st.Session_.fastforwards;
-            checkpoints = a.checkpoints + st.Session_.checkpoints;
+            (add_session st a) with
             steals = a.steals + steals;
             migrations = a.migrations + migrations;
-            bitwise_ok = (a.bitwise_ok + if bad = None then 1 else 0);
-            failures =
-              (match bad with
-              | None -> a.failures
-              | Some msg -> (trial_seed, msg) :: a.failures);
-          }
-    | exception e ->
-        acc :=
-          { a with failures = (trial_seed, Printexc.to_string e) :: a.failures }
-  done;
-  { !acc with failures = List.rev !acc.failures }
+          }),
+        bad ))
 
 let merge a b =
   {

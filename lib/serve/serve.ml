@@ -26,10 +26,6 @@ type config = {
   cache_capacity : int;
   chunk_size : int;
   parallel_threshold : int;
-  batching : bool;
-  batch_threshold : int;
-  batch_max : int;
-  batch_window : float;
   guard : bool;
   check_prefix : int;
   opts : Opts.t;
@@ -49,10 +45,6 @@ let default_config =
     cache_capacity = 64;
     chunk_size = 4096;
     parallel_threshold = 16384;
-    batching = true;
-    batch_threshold = 2048;
-    batch_max = 16;
-    batch_window = 5e-4;
     guard = true;
     check_prefix = 1024;
     opts = Opts.all_on;
@@ -84,12 +76,6 @@ let fnv1a s =
 
 let now () = Unix.gettimeofday ()
 
-(* Spin-then-yield wait used by batch followers: cheap while the wait is
-   short (the leader's linger window), friendly to oversubscribed
-   machines when it is not. *)
-let relax_step i =
-  if i land 255 = 255 then Unix.sleepf 5e-5 else Domain.cpu_relax ()
-
 module Make (S : Plr_util.Scalar.S) = struct
   module FP = Plr_factors.Factor_plan.Make (S)
   module M = Plr_multicore.Multicore.Make (S)
@@ -108,11 +94,6 @@ module Make (S : Plr_util.Scalar.S) = struct
     jit : G.JB.t option;
   }
 
-  (* Time-varying scan requests have no signature to key a factor plan
-     on; the cacheable state is the schedule shape, bucketed by request
-     length so a steady mix of similar lengths shares one entry. *)
-  type scan_entry = { schunk : int; swindow : int }
-
   (* Per-signature circuit breaker.  [Closed] counts consecutive faulty
      pooled outcomes (guard degradations and failures); at the threshold
      it opens and pooled-path requests short-circuit to the serial
@@ -121,19 +102,6 @@ module Make (S : Plr_util.Scalar.S) = struct
   type breaker = {
     mutable consecutive : int;
     mutable bstate : [ `Closed | `Open of float (* retry-at *) | `Half_open ];
-  }
-
-  type slot = {
-    input : S.t array;
-    slot_deadline : float option;
-    cell : (S.t array, error) result option Atomic.t;
-  }
-
-  type batch = {
-    sig_ : S.t Signature.t;
-    mutable slots : slot list; (* newest first *)
-    mutable count : int;
-    mutable sealed : bool;
   }
 
   (* One shard: a private pool, a plan-cache partition (compiled
@@ -145,7 +113,6 @@ module Make (S : Plr_util.Scalar.S) = struct
     sindex : int;
     spool : Pool.t;
     scache : entry Plan_cache.t;
-    sscan_cache : scan_entry Plan_cache.t;
     sexec_lock : Mutex.t; (* serializes jobs that occupy this shard's pool *)
     queue_depth : int Atomic.t;
         (* pooled requests queued on or holding [sexec_lock] right now *)
@@ -165,8 +132,6 @@ module Make (S : Plr_util.Scalar.S) = struct
            and [shutdown] should close them *)
     metrics : Metrics.t;
     inflight : int Atomic.t;
-    batch_lock : Mutex.t;
-    batches : (string, batch) Hashtbl.t;
     breaker_lock : Mutex.t;
     breakers : (string, breaker) Hashtbl.t;
     last_tuning : string Atomic.t;
@@ -179,7 +144,6 @@ module Make (S : Plr_util.Scalar.S) = struct
       sindex;
       spool;
       scache = Plan_cache.create ~capacity:config.cache_capacity ();
-      sscan_cache = Plan_cache.create ~capacity:config.cache_capacity ();
       sexec_lock = Mutex.create ();
       queue_depth = Atomic.make 0;
       routed = Atomic.make 0;
@@ -215,8 +179,6 @@ module Make (S : Plr_util.Scalar.S) = struct
       owned_pools;
       metrics = Metrics.create ();
       inflight = Atomic.make 0;
-      batch_lock = Mutex.create ();
-      batches = Hashtbl.create 16;
       breaker_lock = Mutex.create ();
       breakers = Hashtbl.create 16;
       last_tuning = Atomic.make "";
@@ -266,10 +228,8 @@ module Make (S : Plr_util.Scalar.S) = struct
           st_steals_in = Atomic.get sh.steals_in;
           st_steals_out = Atomic.get sh.steals_out;
           st_migrations_in = Atomic.get sh.migrations_in;
-          st_plan_hits =
-            Plan_cache.hits sh.scache + Plan_cache.hits sh.sscan_cache;
-          st_plan_misses =
-            Plan_cache.misses sh.scache + Plan_cache.misses sh.sscan_cache;
+          st_plan_hits = Plan_cache.hits sh.scache;
+          st_plan_misses = Plan_cache.misses sh.scache;
         })
       t.shards_
 
@@ -295,7 +255,7 @@ module Make (S : Plr_util.Scalar.S) = struct
       (String.concat ", " (Array.to_list (Array.map one (shard_stats t))))
 
   let snapshot_json t =
-    Metrics.snapshot_json ~pool:(pool t) ~shards:(shards_json t)
+    Metrics.snapshot_json ~shards:(shards_json t)
       ?tuning:
         (match Atomic.get t.last_tuning with "" -> None | s -> Some s)
       t.metrics
@@ -315,39 +275,31 @@ module Make (S : Plr_util.Scalar.S) = struct
   let home_shard t key = t.shards_.(fnv1a key mod Array.length t.shards_)
   let shard_of_signature t s = (home_shard t (cache_key t s)).sindex
 
-  (* Bounded one-hop stealing: only when the home queue is at or over the
-     threshold, and only to the shallowest strictly-shallower shard.
-     Sticky sessions are exempt — they move via [migrate_session] only. *)
-  let pick_exec_shard t home =
-    if Array.length t.shards_ = 1 then home
-    else begin
-      let depth = Atomic.get home.queue_depth in
-      if depth < t.config.steal_threshold then home
-      else begin
-        let best = ref home and best_depth = ref depth in
-        Array.iter
-          (fun sh ->
-            let d = Atomic.get sh.queue_depth in
-            if d < !best_depth then begin
-              best := sh;
-              best_depth := d
-            end)
-          t.shards_;
-        !best
-      end
-    end
-
-  (* Record the routing outcome for a pooled execution and return the
-     shard that will run it.  A steal re-resolves the plan on the thief
-     (each shard owns its cache partition), which the callers do. *)
-  let note_exec_shard t home exec_sh =
-    if exec_sh != home then begin
+  (* The shard that runs a pooled execution, with the routing outcome
+     counted.  Stealing is bounded and one-hop: only when the home queue
+     is at or over the threshold, and only to the shallowest
+     strictly-shallower shard.  Sticky sessions are exempt — they move
+     via [migrate_session] only. *)
+  let exec_shard t home =
+    let best = ref home and best_depth = ref (Atomic.get home.queue_depth) in
+    if !best_depth >= t.config.steal_threshold then
+      Array.iter
+        (fun sh ->
+          let d = Atomic.get sh.queue_depth in
+          if d < !best_depth then begin
+            best := sh;
+            best_depth := d
+          end)
+        t.shards_;
+    let sh = !best in
+    if sh != home then begin
       Metrics.Counter.incr t.metrics.Metrics.steals;
       Atomic.incr home.steals_out;
-      Atomic.incr exec_sh.steals_in;
-      Trace.instant Trace.Serve "serve.steal" home.sindex exec_sh.sindex
+      Atomic.incr sh.steals_in;
+      Trace.instant Trace.Serve "serve.steal" home.sindex sh.sindex
     end
-    else Atomic.incr home.pooled_home
+    else Atomic.incr home.pooled_home;
+    sh
 
   (* Matches the multicore backend's bound so a cache hit compiles to the
      exact plan the engine would have built for itself. *)
@@ -498,52 +450,37 @@ module Make (S : Plr_util.Scalar.S) = struct
     Metrics.Counter.incr t.metrics.Metrics.breaker_trips;
     Trace.instant Trace.Serve "breaker.trip" b.consecutive 0
 
-  (* Fold a pooled outcome into the breaker.  [`Neutral] outcomes (a
-     deadline cut, not an engine verdict) leave the state untouched. *)
+  (* Fold a pooled outcome into the breaker.  A deadline cut is not an
+     engine verdict and never reaches it. *)
   let breaker_report t key verdict =
-    match verdict with
-    | `Neutral -> ()
-    | (`Clean | `Faulty) as v ->
-        let b = breaker_for t key in
-        Mutex.lock t.breaker_lock;
-        (match (b.bstate, v) with
-        | `Half_open, `Clean ->
-            b.bstate <- `Closed;
-            b.consecutive <- 0
-        | `Half_open, `Faulty ->
-            b.consecutive <- b.consecutive + 1;
-            trip t b
-        | `Closed, `Clean -> b.consecutive <- 0
-        | `Closed, `Faulty ->
-            b.consecutive <- b.consecutive + 1;
-            if b.consecutive >= t.config.breaker_threshold then trip t b
-        | `Open _, _ -> ());
-        Mutex.unlock t.breaker_lock
+    let b = breaker_for t key in
+    Mutex.lock t.breaker_lock;
+    (match (b.bstate, verdict) with
+    | `Half_open, `Clean ->
+        b.bstate <- `Closed;
+        b.consecutive <- 0
+    | `Half_open, `Faulty ->
+        b.consecutive <- b.consecutive + 1;
+        trip t b
+    | `Closed, `Clean -> b.consecutive <- 0
+    | `Closed, `Faulty ->
+        b.consecutive <- b.consecutive + 1;
+        if b.consecutive >= t.config.breaker_threshold then trip t b
+    | `Open _, _ -> ());
+    Mutex.unlock t.breaker_lock
 
   (* ------------------------------------------------------- execution *)
 
-  let scan_non_finite y =
-    if not floating then None
-    else begin
-      let bad = ref None in
-      (try
-         Array.iteri
-           (fun i v ->
-             if not (Float.is_finite (S.to_float v)) then begin
-               bad := Some i;
-               raise Exit
-             end)
-           y
-       with Exit -> ());
-      !bad
-    end
+  (* With [guard] on, a non-finite floating output fails the request.
+     Every output that does not run under {!Guard} passes through here. *)
+  let finite t y =
+    match if t.config.guard then G.scan_non_finite y else None with
+    | None -> Ok y
+    | Some index ->
+        Error (Failed (Guard.violation_to_string (Guard.Non_finite { index })))
 
-  (* Small requests solve on the calling domain: at these lengths the
-     chunked protocol cannot win, and the serial evaluation *is* the
-     reference the guard would check against.  Only the non-finite scan
-     is meaningful on top.  A ready JIT kernel answers first — its
-     output is verified bitwise-identical to [Serial.full], so the
-     non-finite scan applies unchanged. *)
+  (* A ready JIT kernel answers first: its output is verified
+     bitwise-identical to [Serial.full] on first use. *)
   let try_jit t jit x =
     match jit with
     | None -> None
@@ -555,21 +492,6 @@ module Make (S : Plr_util.Scalar.S) = struct
         | None ->
             Metrics.Counter.incr t.metrics.Metrics.jit_fallback;
             None)
-
-  let exec_local ?jit t s x =
-    match
-      match try_jit t jit x with
-      | Some y -> y
-      | None -> Serial.full s x
-    with
-    | exception e -> Error (Failed (Printexc.to_string e))
-    | y -> (
-        if not t.config.guard then Ok y
-        else
-          match scan_non_finite y with
-          | None -> Ok y
-          | Some i ->
-              Error (Failed (Printf.sprintf "non-finite value at index %d" i)))
 
   let last_violation (o : G.outcome) =
     let rec last acc = function
@@ -583,9 +505,8 @@ module Make (S : Plr_util.Scalar.S) = struct
 
   (* Pooled execution returns the serving result plus the breaker verdict:
      [`Clean] for an undegraded success, [`Faulty] for a degradation or
-     failure, [`Neutral] for a mid-flight cancellation (the caller's
-     deadline, not an engine fault). *)
-  let exec_pooled ?faults ?(cancel = Cancel.none) t sh entry s x =
+     failure.  A mid-flight cancellation escapes as [Cancel.Cancelled]. *)
+  let exec_pooled ?faults ~cancel t sh entry s x =
     let cfg = t.config in
     (* The entry's tuning supplies the schedule knobs; its plan was
        compiled to cover the tuned chunk size, so no recompile here. *)
@@ -596,255 +517,119 @@ module Make (S : Plr_util.Scalar.S) = struct
        fault-injected runs (chaos, tests) skip the JIT here.  Chaos
        exercises the JIT path through its own [Jit] target instead. *)
     let jit = if faults = None then entry.jit else None in
-    match
-      if cfg.guard then begin
-        let mc =
-          G.multicore_runner ~opts:cfg.opts ?faults ~plan:entry.plan ~cancel
-            ~pool:sh.spool ~chunk_size ~window ()
-        in
-        (* JIT-first under the guard: a ready, verified native kernel
-           answers (still subject to the guard's own checks below);
-           otherwise the pooled runner does.  Inlined rather than
-           [G.jit_runner] so the serving metrics see which branch ran. *)
-        let runner sg input =
-          match try_jit t jit input with
-          | Some y -> y
-          | None -> mc sg input
-        in
-        let o =
-          G.run ~check:(Guard.Prefix cfg.check_prefix)
-            ~stability:entry.stability runner s x
-        in
-        if o.G.ok then begin
-          if o.G.degraded then Metrics.Counter.incr t.metrics.Metrics.degraded;
-          (Ok o.G.output, if o.G.degraded then `Faulty else `Clean)
-        end
-        else (Error (Failed (last_violation o)), `Faulty)
-      end
-      else
-        match try_jit t jit x with
-        | Some y -> (Ok y, `Clean)
-        | None -> (
-            match
-              M.run ~opts:cfg.opts ?faults ~plan:entry.plan ~cancel
-                ~pool:sh.spool ~chunk_size ~window s x
-            with
-            | y -> (Ok y, `Clean)
-            | exception Cancel.Cancelled -> raise Cancel.Cancelled
-            | exception e -> (Error (Failed (Printexc.to_string e)), `Faulty))
-    with
-    | r -> r
-    | exception Cancel.Cancelled ->
-        (* The token fired at a chunk boundary: stop billing the pool and
-           report the cut to the client as a missed deadline. *)
-        Metrics.Counter.incr t.metrics.Metrics.cancelled_midflight;
-        (Error Deadline_exceeded, `Neutral)
-
-  (* Requests that occupy a shard's pool serialize on its [sexec_lock];
-     the wait is the request's queue time.  [queue_depth] brackets the
-     whole occupancy (queued + executing) — it is the congestion signal
-     the router's steal decision reads.  The deadline is re-checked after
-     the wait: a request that missed it is dropped before touching the
-     pool. *)
-  let exec_serialized ~t0 ?deadline t sh f =
-    Atomic.incr sh.queue_depth;
-    Fun.protect ~finally:(fun () -> Atomic.decr sh.queue_depth) @@ fun () ->
-    Trace.begin_span2 Trace.Serve "serve.shard.exec" sh.sindex
-      (Atomic.get sh.queue_depth);
-    Fun.protect ~finally:Trace.end_span @@ fun () ->
-    Trace.begin_span Trace.Serve "serve.queue";
-    Mutex.lock sh.sexec_lock;
-    Trace.end_span ();
-    Metrics.Histogram.observe t.metrics.Metrics.queue_wait (now () -. t0);
-    Fun.protect ~finally:(fun () -> Mutex.unlock sh.sexec_lock) @@ fun () ->
-    if deadline_passed deadline then Error Deadline_exceeded
-    else begin
-      let e0 = now () in
-      Trace.begin_span Trace.Serve "serve.exec";
-      let r = f () in
-      Trace.end_span ();
-      Metrics.Histogram.observe t.metrics.Metrics.exec (now () -. e0);
-      r
-    end
-
-  (* -------------------------------------------------------- batching *)
-
-  let fill_slot slot r =
-    match Atomic.get slot.cell with
-    | Some _ -> ()
-    | None -> Atomic.set slot.cell (Some r)
-
-  let run_batch t sh b =
-    let slots = Array.of_list (List.rev b.slots) in
-    Metrics.Counter.incr t.metrics.Metrics.batches;
-    Metrics.Counter.add t.metrics.Metrics.batched_requests (Array.length slots);
-    let body i =
-      let slot = slots.(i) in
-      let r =
-        if deadline_passed slot.slot_deadline then Error Deadline_exceeded
-        else
-          match Serial.full b.sig_ slot.input with
-          | exception e -> Error (Failed (Printexc.to_string e))
-          | y -> (
-              match (t.config.guard, scan_non_finite y) with
-              | true, Some i ->
-                  Error
-                    (Failed (Printf.sprintf "non-finite value at index %d" i))
-              | _ -> Ok y)
+    if cfg.guard then begin
+      let mc =
+        G.multicore_runner ~opts:cfg.opts ?faults ~plan:entry.plan ~cancel
+          ~pool:sh.spool ~chunk_size ~window ()
       in
-      fill_slot slot r
-    in
-    Trace.begin_span2 Trace.Serve "serve.batch" (Array.length slots) 0;
-    Fun.protect
-      ~finally:(fun () ->
-        (* Whatever happened, no follower may be left spinning. *)
-        Array.iter
-          (fun slot -> fill_slot slot (Error (Failed "batch aborted")))
-          slots;
-        Trace.end_span ())
-    @@ fun () -> Pool.run sh.spool ~tasks:(Array.length slots) body
+      (* JIT-first under the guard: a ready, verified native kernel
+         answers (still subject to the guard's own checks below);
+         otherwise the pooled runner does.  Inlined rather than
+         [G.jit_runner] so the serving metrics see which branch ran. *)
+      let runner sg input =
+        match try_jit t jit input with
+        | Some y -> y
+        | None -> mc sg input
+      in
+      let o =
+        G.run ~check:(Guard.Prefix cfg.check_prefix)
+          ~stability:entry.stability runner s x
+      in
+      if o.G.ok then begin
+        if o.G.degraded then Metrics.Counter.incr t.metrics.Metrics.degraded;
+        (Ok o.G.output, if o.G.degraded then `Faulty else `Clean)
+      end
+      else (Error (Failed (last_violation o)), `Faulty)
+    end
+    else
+      match try_jit t jit x with
+      | Some y -> (Ok y, `Clean)
+      | None -> (
+          match
+            M.run ~opts:cfg.opts ?faults ~plan:entry.plan ~cancel
+              ~pool:sh.spool ~chunk_size ~window s x
+          with
+          | y -> (Ok y, `Clean)
+          | exception Cancel.Cancelled -> raise Cancel.Cancelled
+          | exception e -> (Error (Failed (Printexc.to_string e)), `Faulty))
 
-  let await_slot ~t0 t slot =
-    let hard_limit = Float.max 30.0 (1000.0 *. t.config.batch_window) in
-    let i = ref 0 in
-    let rec wait () =
-      match Atomic.get slot.cell with
-      | Some r ->
-          Metrics.Histogram.observe t.metrics.Metrics.queue_wait (now () -. t0);
-          r
-      | None ->
-          if now () -. t0 > hard_limit then
-            Error (Failed "batch leader stalled")
-          else begin
-            relax_step !i;
-            incr i;
-            wait ()
-          end
+  (* ---------------------------------------------------------- requests *)
+
+  (* One attempt's backend, decided per request kind: [Local f] computes
+     the output on the calling domain; [Pooled (sh, f)] occupies shard
+     [sh]'s pool (the home shard, or a thief picked by [exec_shard]) and
+     gets the request's deadline as a cancellation token. *)
+  type route =
+    | Local of (unit -> S.t array)
+    | Pooled of shard * (Cancel.t -> (S.t array, error) result)
+
+  (* Execution proper, timed into [exec].  An exception is a failure; a
+     cancellation is the deadline firing mid-flight, at a chunk boundary,
+     so the pool stops being billed and the client sees a missed
+     deadline. *)
+  let exec t f =
+    let e0 = now () in
+    let r =
+      match f () with
+      | r -> r
+      | exception Cancel.Cancelled ->
+          Metrics.Counter.incr t.metrics.Metrics.cancelled_midflight;
+          Error Deadline_exceeded
+      | exception e -> Error (Failed (Printexc.to_string e))
     in
-    Trace.begin_span Trace.Serve "serve.wait";
-    let r = wait () in
-    Trace.end_span ();
+    Metrics.Histogram.observe t.metrics.Metrics.exec (now () -. e0);
     r
 
-  let submit_batched ~t0 ?deadline t sh key s x =
-    let slot =
-      { input = x; slot_deadline = deadline; cell = Atomic.make None }
-    in
-    Mutex.lock t.batch_lock;
-    let role =
-      match Hashtbl.find_opt t.batches key with
-      | Some b when (not b.sealed) && b.count < t.config.batch_max ->
-          b.slots <- slot :: b.slots;
-          b.count <- b.count + 1;
-          `Follower
-      | _ ->
-          let b = { sig_ = s; slots = [ slot ]; count = 1; sealed = false } in
-          (* Displacing a sealed or full batch is fine: its leader holds
-             its own reference and only removes the table binding if it
-             still points at that batch. *)
-          Hashtbl.replace t.batches key b;
-          `Leader b
-    in
-    Mutex.unlock t.batch_lock;
-    match role with
-    | `Follower -> await_slot ~t0 t slot
-    | `Leader b ->
-        (* Linger for followers, then seal, detach, and execute. *)
-        let window_end = t0 +. t.config.batch_window in
-        let i = ref 0 in
-        let full () =
-          Mutex.lock t.batch_lock;
-          let f = b.count >= t.config.batch_max in
-          Mutex.unlock t.batch_lock;
-          f
-        in
-        while (not (full ())) && now () < window_end do
-          relax_step !i;
-          incr i
-        done;
-        Mutex.lock t.batch_lock;
-        b.sealed <- true;
-        (match Hashtbl.find_opt t.batches key with
-        | Some b' when b' == b -> Hashtbl.remove t.batches key
-        | _ -> ());
-        Mutex.unlock t.batch_lock;
-        exec_serialized ~t0 t sh (fun () ->
-            run_batch t sh b;
-            Ok [||])
-        |> ignore;
-        (match Atomic.get slot.cell with
-        | Some r -> r
-        | None -> Error (Failed "batch aborted"))
-
-  (* ---------------------------------------------------------- submit *)
-
-  let classify_result t = function
-    | Ok _ -> Metrics.Counter.incr t.metrics.Metrics.completed
-    | Error Overloaded -> Metrics.Counter.incr t.metrics.Metrics.rejected
-    | Error Deadline_exceeded ->
-        Metrics.Counter.incr t.metrics.Metrics.deadline_missed
-    | Error (Failed _) -> Metrics.Counter.incr t.metrics.Metrics.failed
-
-  (* One admitted attempt: admission control, then routing — batched,
-     local-serial, breaker-shorted serial, or pooled (with the breaker
-     verdict folded back in and the deadline armed as a mid-flight
-     cancellation token).  [home] is the request's affinity shard;
-     [served] reports which shard actually executed the attempt (differs
-     from [home] exactly when the pooled path stole). *)
-  let attempt_once ~t0 ?deadline ?faults ~served t home key s x =
+  (* One admitted attempt: admission control, the deadline, then the
+     kind's [route].  Pooled attempts serialize on the shard's
+     [sexec_lock]; the attempt's queue time runs from the route decision
+     until the lock is taken (a local attempt queues for nothing).
+     [queue_depth] brackets the whole occupancy (queued + executing) — it
+     is the congestion signal [exec_shard] reads.  The deadline is
+     re-checked after the wait, so a request that missed it is dropped
+     before touching the pool.  [served] is set to the shard that ran a
+     pooled attempt. *)
+  let attempt ?deadline ~served t route =
     if Atomic.fetch_and_add t.inflight 1 >= t.config.max_inflight then begin
       Atomic.decr t.inflight;
       Error Overloaded
     end
     else
       Fun.protect ~finally:(fun () -> Atomic.decr t.inflight) @@ fun () ->
-      let n = Array.length x in
-      let entry, _hit = plan_on ~n t home key s in
-      let local () =
-        Metrics.Histogram.observe t.metrics.Metrics.queue_wait (now () -. t0);
-        let e0 = now () in
-        let r =
-          exec_local
-            ?jit:(if faults = None then entry.jit else None)
-            t s x
-        in
-        Metrics.Histogram.observe t.metrics.Metrics.exec (now () -. e0);
-        r
-      in
       if deadline_passed deadline then Error Deadline_exceeded
-      else if
-        t.config.batching && n <= t.config.batch_threshold
-        && Pool.size home.spool > 1
-      then submit_batched ~t0 ?deadline t home key s x
-      else if n <= entry.serial_cutoff then
-        if deadline_passed deadline then Error Deadline_exceeded else local ()
-      else begin
-        match breaker_route t key with
-        | `Serial ->
-            Metrics.Counter.incr t.metrics.Metrics.breaker_shorted;
-            local ()
-        | `Pooled ->
-            let exec_sh = pick_exec_shard t home in
-            note_exec_shard t home exec_sh;
-            served := exec_sh;
-            (* A stolen request re-resolves its plan on the thief: each
-               shard keeps its own cache partition warm. *)
-            let entry =
-              if exec_sh == home then entry
-              else fst (plan_on ~n t exec_sh key s)
-            in
-            let cancel =
-              match deadline with
-              | None -> Cancel.none
-              | Some d -> Cancel.create ~deadline:d ()
-            in
-            exec_serialized ~t0 ?deadline t exec_sh (fun () ->
-                let r, verdict =
-                  exec_pooled ?faults ~cancel t exec_sh entry s x
-                in
-                breaker_report t key verdict;
-                r)
-      end
+      else
+        match route () with
+        | Local f ->
+            Metrics.Histogram.observe t.metrics.Metrics.queue_wait 0.0;
+            exec t (fun () -> finite t (f ()))
+        | Pooled (sh, f) ->
+            let r0 = now () in
+            served := sh;
+            Atomic.incr sh.queue_depth;
+            Fun.protect ~finally:(fun () -> Atomic.decr sh.queue_depth)
+            @@ fun () ->
+            Trace.begin_span2 Trace.Serve "serve.shard.exec" sh.sindex
+              (Atomic.get sh.queue_depth);
+            Fun.protect ~finally:Trace.end_span @@ fun () ->
+            Trace.begin_span Trace.Serve "serve.queue";
+            Mutex.lock sh.sexec_lock;
+            Trace.end_span ();
+            Metrics.Histogram.observe t.metrics.Metrics.queue_wait
+              (now () -. r0);
+            Fun.protect ~finally:(fun () -> Mutex.unlock sh.sexec_lock)
+            @@ fun () ->
+            if deadline_passed deadline then Error Deadline_exceeded
+            else begin
+              let cancel =
+                match deadline with
+                | None -> Cancel.none
+                | Some d -> Cancel.create ~deadline:d ()
+              in
+              Trace.begin_span Trace.Serve "serve.exec";
+              let r = exec t (fun () -> f cancel) in
+              Trace.end_span ();
+              r
+            end
 
   let retryable = function
     | Error Overloaded | Error (Failed _) -> true
@@ -857,8 +642,8 @@ module Make (S : Plr_util.Scalar.S) = struct
     | Error (Failed _) -> 2
 
   (* Exponential backoff with deterministic jitter: the delay sequence of
-     a given (signature, attempt) pair is reproducible run to run, which
-     keeps the chaos campaigns and their pinned tests deterministic. *)
+     a given (key, attempt) pair is reproducible run to run, which keeps
+     the chaos campaigns and their pinned tests deterministic. *)
   let backoff_delay t ~key ~attempt =
     let gen =
       Plr_util.Splitmix.create (Hashtbl.hash key lxor ((attempt + 1) * 0x9E3779B9))
@@ -868,47 +653,158 @@ module Make (S : Plr_util.Scalar.S) = struct
     in
     t.config.retry_backoff *. float_of_int (1 lsl attempt) *. (0.5 +. jitter)
 
-  let submit ?deadline ?faults t (s : S.t Signature.t) x =
+  let count_outcome t kind r =
+    let m = t.metrics and scan = kind = `Scan in
+    match r with
+    | Ok _ ->
+        Metrics.Counter.incr m.Metrics.completed;
+        if scan then Metrics.Counter.incr m.Metrics.scan_completed
+    | Error Overloaded -> Metrics.Counter.incr m.Metrics.rejected
+    | Error Deadline_exceeded -> Metrics.Counter.incr m.Metrics.deadline_missed
+    | Error (Failed _) ->
+        Metrics.Counter.incr m.Metrics.failed;
+        if scan then Metrics.Counter.incr m.Metrics.scan_failed
+
+  (* The request lifecycle both kinds share: a request span with one flow
+     id linking it to the pool tasks that execute it (across domains) in
+     the exported trace, an affinity route on [key], bounded retries
+     with deterministic backoff, and the outcome counters.  [route
+     attempt home] decides each attempt's backend; an [invalid] request
+     fails without being routed. *)
+  let request t kind ?deadline ?invalid ~key ~n route =
     let t0 = now () in
+    let cat, span, retry_span =
+      match kind with
+      | `Recurrence -> (Trace.Serve, "serve.request", "serve.retry")
+      | `Scan -> (Trace.Scan, "scan.request", "scan.retry")
+    in
     Metrics.Counter.incr t.metrics.Metrics.submitted;
-    (* One flow id per request links the request span to the pool tasks
-       that execute it (across domains) in the exported trace. *)
+    if kind = `Scan then Metrics.Counter.incr t.metrics.Metrics.scan_submitted;
     let flow = if Trace.enabled () then Trace.next_flow_id () else 0 in
-    Trace.begin_span2 Trace.Serve "serve.request" (Array.length x) flow;
+    Trace.begin_span2 cat span n flow;
     Trace.flow_start Trace.Serve "serve.flow" flow;
     Trace.set_ambient_flow flow;
-    let key = cache_key t s in
-    let home = home_shard t key in
-    Atomic.incr home.routed;
-    Trace.instant Trace.Serve "serve.shard.route" home.sindex
-      (Atomic.get home.queue_depth);
-    let served = ref home in
-    let rec go attempt faults =
-      let r = attempt_once ~t0 ?deadline ?faults ~served t home key s x in
-      if
-        attempt < t.config.retries && retryable r
-        && not (deadline_passed deadline)
-      then begin
-        Metrics.Counter.incr t.metrics.Metrics.retries;
-        Trace.instant Trace.Serve "serve.retry" attempt (error_code r);
-        let d = backoff_delay t ~key ~attempt in
-        let d =
-          match deadline with None -> d | Some dl -> min d (dl -. now ())
-        in
-        if d > 0.0 then Unix.sleepf d;
-        (* Injected fault plans model transient faults: they apply to the
-           first attempt only, so a retry is a genuinely clean re-run. *)
-        go (attempt + 1) None
-      end
-      else r
+    let r =
+      match invalid with
+      | Some msg -> Error (Failed msg)
+      | None ->
+          let home = home_shard t key in
+          Atomic.incr home.routed;
+          Trace.instant Trace.Serve "serve.shard.route" home.sindex
+            (Atomic.get home.queue_depth);
+          let served = ref home in
+          let rec go i =
+            let r = attempt ?deadline ~served t (fun () -> route i home) in
+            if
+              i < t.config.retries && retryable r
+              && not (deadline_passed deadline)
+            then begin
+              Metrics.Counter.incr t.metrics.Metrics.retries;
+              Trace.instant cat retry_span i (error_code r);
+              let d = backoff_delay t ~key ~attempt:i in
+              let d =
+                match deadline with None -> d | Some dl -> min d (dl -. now ())
+              in
+              if d > 0.0 then Unix.sleepf d;
+              go (i + 1)
+            end
+            else r
+          in
+          let r = go 0 in
+          if Result.is_ok r then Atomic.incr !served.completed_on;
+          r
     in
-    let r = go 0 faults in
-    classify_result t r;
-    (match r with Ok _ -> Atomic.incr !served.completed_on | Error _ -> ());
+    count_outcome t kind r;
     Metrics.Histogram.observe t.metrics.Metrics.total (now () -. t0);
     Trace.set_ambient_flow 0;
     Trace.end_span ();
     r
+
+  (* The recurrence's route.  The plan entry's [serial_cutoff], decided
+     when the plan was built, keeps short requests on the calling domain:
+     at these lengths the chunked protocol cannot win, and the serial
+     evaluation is the reference the guard would check against.  Longer
+     ones take the pooled engine — unless the signature's breaker is
+     open, which shorts them back to the calling domain — and a thief
+     re-resolves the plan in its own cache partition.  Injected faults
+     model a transient fault: they apply to the first attempt only. *)
+  let recurrence_route ?faults t key s x attempt home =
+    let faults = if attempt = 0 then faults else None in
+    let n = Array.length x in
+    let entry, _ = plan_on ~n t home key s in
+    let local () =
+      let jit = if faults = None then entry.jit else None in
+      Local
+        (fun () ->
+          match try_jit t jit x with Some y -> y | None -> Serial.full s x)
+    in
+    if n <= entry.serial_cutoff then local ()
+    else
+      match breaker_route t key with
+      | `Serial ->
+          Metrics.Counter.incr t.metrics.Metrics.breaker_shorted;
+          local ()
+      | `Pooled ->
+          let sh = exec_shard t home in
+          let entry =
+            if sh == home then entry else fst (plan_on ~n t sh key s)
+          in
+          Pooled
+            ( sh,
+              fun cancel ->
+                let r, verdict = exec_pooled ?faults ~cancel t sh entry s x in
+                breaker_report t key verdict;
+                r )
+
+  let submit ?deadline ?faults t (s : S.t Signature.t) x =
+    let key = cache_key t s in
+    request t `Recurrence ?deadline ~key ~n:(Array.length x)
+      (recurrence_route ?faults t key s x)
+
+  let scan_bucket n =
+    let b = ref 1 in
+    while !b < n do
+      b := !b * 2
+    done;
+    !b
+
+  (* The scan's route.  Requests at or below [parallel_threshold]
+     evaluate serially on the calling domain; larger ones run the pooled
+     look-back engine with the schedule of their length bucket on the
+     executing shard's pool.  A carry fault the engine detects
+     ({!Plr_scan.Scan.Fault_detected}) degrades to the serial evaluator —
+     loud, counted, never silent. *)
+  let scan_route t a b _attempt home =
+    let n = Array.length a in
+    if n <= t.config.parallel_threshold then Local (fun () -> Sc.serial a b)
+    else
+      let sh = exec_shard t home in
+      let domains = Pool.size sh.spool in
+      Pooled
+        ( sh,
+          fun cancel ->
+            match
+              Sc.run ~cancel ~pool:sh.spool
+                ~chunk_size:
+                  (Plr_scan.Scan.default_chunk_size ~domains (scan_bucket n))
+                ~window:(Plr_scan.Scan.default_window ~pool_size:domains)
+                a b
+            with
+            | y -> finite t y
+            | exception Plr_scan.Scan.Fault_detected _ ->
+                Metrics.Counter.incr t.metrics.Metrics.degraded;
+                finite t (Sc.serial a b) )
+
+  (* Scan requests have no signature: they route on the scalar and the
+     length bucket, so a steady mix of similar lengths shares a home. *)
+  let submit_scan ?deadline t a b =
+    let n = Array.length a in
+    request t `Scan ?deadline
+      ?invalid:
+        (if Array.length b <> n then Some "coefficient streams differ in length"
+         else None)
+      ~key:(Printf.sprintf "scan|%s|%d" S.ctype (scan_bucket n))
+      ~n (scan_route t a b)
 
   let session ?checkpoint_every t s =
     (* Sticky state lives on the signature's home shard — the same place
@@ -925,144 +821,4 @@ module Make (S : Plr_util.Scalar.S) = struct
     Session.migrate session ~pool:sh.spool;
     if (Session.stats session).Session.migrations > before then
       Atomic.incr sh.migrations_in
-
-  (* ----------------------------------------- time-varying scan requests *)
-
-  let scan_bucket n =
-    let b = ref 1 in
-    while !b < n do
-      b := !b * 2
-    done;
-    !b
-
-  let scan_key n = Printf.sprintf "scan|%s|%d" S.ctype (scan_bucket n)
-
-  let scan_entry_for t sh n =
-    let entry, hit =
-      Plan_cache.find_or_add sh.sscan_cache (scan_key n) (fun () ->
-          let domains = Pool.size sh.spool in
-          {
-            schunk =
-              Plr_scan.Scan.default_chunk_size ~domains (scan_bucket n);
-            swindow = Plr_scan.Scan.default_window ~pool_size:domains;
-          })
-    in
-    Metrics.Counter.incr
-      (if hit then t.metrics.Metrics.plan_hits
-       else t.metrics.Metrics.plan_misses);
-    entry
-
-  let scan_guarded t y =
-    match (t.config.guard, scan_non_finite y) with
-    | true, Some i ->
-        Error (Failed (Printf.sprintf "non-finite value at index %d" i))
-    | _ -> Ok y
-
-  (* One admitted scan attempt: small requests evaluate on the calling
-     domain (the serial chain *is* the reference at these lengths); large
-     ones take the pooled look-back engine under [exec_lock], with the
-     deadline armed as a mid-flight cancellation token.  A carry fault
-     the engine detects ({!Plr_scan.Scan.Fault_detected}) degrades to the
-     serial evaluator — loud, counted, never silent. *)
-  let scan_attempt ~t0 ?deadline ~served t home entry a b =
-    if Atomic.fetch_and_add t.inflight 1 >= t.config.max_inflight then begin
-      Atomic.decr t.inflight;
-      Error Overloaded
-    end
-    else
-      Fun.protect ~finally:(fun () -> Atomic.decr t.inflight) @@ fun () ->
-      let n = Array.length a in
-      if deadline_passed deadline then Error Deadline_exceeded
-      else if n <= t.config.parallel_threshold then begin
-        Metrics.Histogram.observe t.metrics.Metrics.queue_wait (now () -. t0);
-        let e0 = now () in
-        let r =
-          match Sc.serial a b with
-          | exception e -> Error (Failed (Printexc.to_string e))
-          | y -> scan_guarded t y
-        in
-        Metrics.Histogram.observe t.metrics.Metrics.exec (now () -. e0);
-        r
-      end
-      else begin
-        let exec_sh = pick_exec_shard t home in
-        note_exec_shard t home exec_sh;
-        served := exec_sh;
-        let entry =
-          if exec_sh == home then entry else scan_entry_for t exec_sh n
-        in
-        let cancel =
-          match deadline with
-          | None -> Cancel.none
-          | Some d -> Cancel.create ~deadline:d ()
-        in
-        exec_serialized ~t0 ?deadline t exec_sh (fun () ->
-            match
-              Sc.run ~cancel ~pool:exec_sh.spool ~chunk_size:entry.schunk
-                ~window:entry.swindow a b
-            with
-            | y -> scan_guarded t y
-            | exception Cancel.Cancelled ->
-                Metrics.Counter.incr t.metrics.Metrics.cancelled_midflight;
-                Error Deadline_exceeded
-            | exception Plr_scan.Scan.Fault_detected _ ->
-                Metrics.Counter.incr t.metrics.Metrics.degraded;
-                (match Sc.serial a b with
-                | y -> scan_guarded t y
-                | exception e -> Error (Failed (Printexc.to_string e)))
-            | exception e -> Error (Failed (Printexc.to_string e)))
-      end
-
-  let submit_scan ?deadline t a b =
-    let t0 = now () in
-    Metrics.Counter.incr t.metrics.Metrics.submitted;
-    Metrics.Counter.incr t.metrics.Metrics.scan_submitted;
-    let flow = if Trace.enabled () then Trace.next_flow_id () else 0 in
-    Trace.begin_span2 Trace.Scan "scan.request" (Array.length a) flow;
-    Trace.flow_start Trace.Scan "scan.flow" flow;
-    Trace.set_ambient_flow flow;
-    let served = ref t.shards_.(0) in
-    let r =
-      if Array.length a <> Array.length b then
-        Error (Failed "coefficient streams differ in length")
-      else begin
-        let n = Array.length a in
-        let key = scan_key n in
-        let home = home_shard t key in
-        Atomic.incr home.routed;
-        Trace.instant Trace.Serve "serve.shard.route" home.sindex
-          (Atomic.get home.queue_depth);
-        served := home;
-        let entry = scan_entry_for t home n in
-        let rec go attempt =
-          let r = scan_attempt ~t0 ?deadline ~served t home entry a b in
-          if
-            attempt < t.config.retries && retryable r
-            && not (deadline_passed deadline)
-          then begin
-            Metrics.Counter.incr t.metrics.Metrics.retries;
-            Trace.instant Trace.Scan "scan.retry" attempt (error_code r);
-            let d = backoff_delay t ~key ~attempt in
-            let d =
-              match deadline with None -> d | Some dl -> min d (dl -. now ())
-            in
-            if d > 0.0 then Unix.sleepf d;
-            go (attempt + 1)
-          end
-          else r
-        in
-        go 0
-      end
-    in
-    classify_result t r;
-    (match r with
-    | Ok _ ->
-        Atomic.incr !served.completed_on;
-        Metrics.Counter.incr t.metrics.Metrics.scan_completed
-    | Error (Failed _) -> Metrics.Counter.incr t.metrics.Metrics.scan_failed
-    | Error _ -> ());
-    Metrics.Histogram.observe t.metrics.Metrics.total (now () -. t0);
-    Trace.set_ambient_flow 0;
-    Trace.end_span ();
-    r
 end

@@ -29,21 +29,23 @@
     + honours its {b deadline}: a request whose absolute deadline passes
       before execution starts is cut with {!Deadline_exceeded} (never
       started, so it cannot occupy the pool);
-    + may be {b batched}: small same-signature requests that arrive
-      within the batch window are fused into one pool job (one task per
-      request, each evaluated against the exact serial reference), which
-      amortizes pool wake-up across the batch;
+    + takes the {b backend} the plan entry chose when it was built:
+      requests up to the entry's [serial_cutoff] run on the calling
+      domain (a ready JIT kernel first, else the serial reference),
+      longer ones on the home shard's pool (or a thief's);
     + executes {b guarded} (when [guard] is on): the parallel engine runs
       under {!Plr_robust.Guard} with the cached stability report, so a
       poisoned request degrades to a fallback stage instead of wedging a
       pool worker or returning silent garbage.
 
-    Every step feeds the {!Metrics} core; {!Make.snapshot_json} exports
-    the counters, latency histograms, and pool utilization in one JSON
-    object.
+    {!Make.submit_scan} requests share that lifecycle — admission,
+    deadline, affinity route, retries, metrics — with their own
+    evaluators.  Every step feeds the {!Metrics} core;
+    {!Make.snapshot_json} exports the counters, latency histograms, and
+    per-shard rows in one JSON object.
 
     Concurrency model: [submit] is safe to call from any number of
-    domains.  Requests that need the pool serialize on one internal
+    domains.  Requests that need a pool serialize on their shard's exec
     mutex (the wait is recorded as queue time); small requests execute
     on the calling domain and bypass that lock entirely. *)
 
@@ -81,12 +83,6 @@ type config = {
   parallel_threshold : int;
       (** inputs longer than this use the pooled engine; at or below it
           the request solves on the calling domain (default 16384) *)
-  batching : bool;  (** fuse small same-signature requests (default true) *)
-  batch_threshold : int;
-      (** inputs of at most this length are batchable (default 2048) *)
-  batch_max : int;  (** requests fused into one batch at most (default 16) *)
-  batch_window : float;
-      (** seconds a batch leader lingers for followers (default 500us) *)
   guard : bool;
       (** wrap pooled execution in {!Plr_robust.Guard} (default true) *)
   check_prefix : int;
@@ -191,13 +187,13 @@ module Make (S : Plr_util.Scalar.S) : sig
     st_steals_in : int;  (** pooled executions stolen {e to} this shard *)
     st_steals_out : int;  (** pooled executions stolen {e from} it *)
     st_migrations_in : int;  (** sessions migrated onto this shard *)
-    st_plan_hits : int;  (** this partition's plan-cache hits (both kinds) *)
+    st_plan_hits : int;  (** this partition's plan-cache hits *)
     st_plan_misses : int;
   }
 
   val shard_stats : t -> shard_stat array
   (** One row per shard.  Invariants under a quiescent server:
-      [Σ st_routed] = all validly-routed submissions, [Σ st_completed] =
+      [Σ st_routed] = submissions minus malformed scans, [Σ st_completed] =
       {!Metrics.t.completed}, and [Σ st_steals_in = Σ st_steals_out =]
       {!Metrics.t.steals}. *)
 
@@ -238,10 +234,10 @@ module Make (S : Plr_util.Scalar.S) : sig
   (** [(hits, misses, evictions)] of the plan cache. *)
 
   val snapshot_json : t -> string
-  (** {!Metrics.snapshot_json} with this server's pool stats, the
-      per-shard stat rows (queue depth, steals in/out, migrations,
-      affinity hit rate), and the most recently applied schedule tuning
-      (with its source) included. *)
+  (** {!Metrics.snapshot_json} with the per-shard stat rows (pool size,
+      queue depth, steals in/out, migrations, affinity hit rate) and the
+      most recently applied schedule tuning (with its source)
+      included. *)
 
   module Session : module type of Session.Make (S)
 
@@ -267,11 +263,12 @@ module Make (S : Plr_util.Scalar.S) : sig
       [config.max_inflight], deadlines enforced before execution and
       mid-flight at chunk boundaries, retries with deterministic backoff,
       the shared latency histograms, and per-kind attribution in the
-      metrics snapshot ({!Metrics.t.scan_submitted} etc.).  Schedule
-      knobs come from a scan-specific plan-cache entry bucketed by
-      request length.  Requests at or below [config.parallel_threshold]
-      evaluate serially on the calling domain; larger ones run the
-      pooled look-back engine, and an engine-detected carry fault
-      degrades — loudly, counted in {!Metrics.t.degraded} — to the
-      serial evaluator. *)
+      metrics snapshot ({!Metrics.t.scan_submitted} etc.).  Requests
+      route on the scalar and the power-of-two length bucket.  Requests
+      at or below [config.parallel_threshold] evaluate serially on the
+      calling domain; larger ones run the pooled look-back engine with
+      the bucket's schedule on the executing shard's pool, and an
+      engine-detected carry fault degrades — loudly, counted in
+      {!Metrics.t.degraded} — to the serial evaluator.  Streams of
+      different lengths fail with {!Failed} without being routed. *)
 end

@@ -235,7 +235,6 @@ let breaker_config =
   { Serve.default_config with
     Serve.parallel_threshold = 256;
     chunk_size = 64;
-    batching = false;
     check_prefix = 8192;
     retries = 0;
     breaker_threshold = 2;
@@ -338,6 +337,34 @@ let test_retry_recovers_transient_fault () =
   | Ok _ -> Alcotest.fail "faulted run without retries must fail"
   | Error e -> Alcotest.failf "expected Failed, got %s" (Serve.error_to_string e)
 
+(* [queue_wait] is measured per attempt, from the route decision to the
+   shard's exec lock: on an idle shard neither the failed first attempt
+   nor the backoff before the retry (at least 25 ms here) counts as
+   queueing. *)
+let test_queue_wait_per_attempt () =
+  let config =
+    { breaker_config with
+      Serve.guard = false;
+      retries = 1;
+      retry_backoff = 0.05;
+      breaker_threshold = 100 }
+  in
+  let server = Srv_i.create ~config ~domains:2 () in
+  let s = int_sig [| 1 |] [| 2; -1 |] in
+  let n = 900 in
+  let x = random_input 13 n in
+  let chunks = (n + 63) / 64 in
+  (match Srv_i.submit ~faults:(stall_faults ~chunks) server s x with
+  | Ok y -> Alcotest.(check (array int)) "retried run bitwise" (Si.full s x) y
+  | Error e -> Alcotest.failf "retry failed: %s" (Serve.error_to_string e));
+  let m = Srv_i.metrics server in
+  Alcotest.(check int) "one retry" 1 (Metrics.Counter.get m.Metrics.retries);
+  Alcotest.(check int) "one queue wait per attempt" 2
+    (Metrics.Histogram.count m.Metrics.queue_wait);
+  let worst = Metrics.Histogram.percentile m.Metrics.queue_wait 1.0 in
+  if worst >= 0.025 then
+    Alcotest.failf "an attempt queued %.3f ms on an idle shard" (worst *. 1e3)
+
 let test_serve_campaign () =
   let summary = Resilience.serve_campaign ~trials:5 ~seed:3 () in
   (match summary.Resilience.failures with
@@ -371,7 +398,6 @@ let test_midflight_deadline () =
     { Serve.default_config with
       Serve.parallel_threshold = 1024;
       chunk_size = 1024;
-      batching = false;
       guard = false;
       retries = 2 }
   in
@@ -422,6 +448,8 @@ let () =
             test_breaker_reopens_on_faulty_probe;
           Alcotest.test_case "retry recovers a transient fault" `Quick
             test_retry_recovers_transient_fault;
+          Alcotest.test_case "queue wait is per attempt" `Quick
+            test_queue_wait_per_attempt;
           Alcotest.test_case "serve chaos campaign" `Quick test_serve_campaign;
           Alcotest.test_case "mid-flight deadline cancellation" `Quick
             test_midflight_deadline ] ) ]

@@ -33,7 +33,7 @@ let random_input seed n =
   let g = Plr_util.Splitmix.create seed in
   Array.init n (fun _ -> Plr_util.Splitmix.int_in g ~lo:(-9) ~hi:9)
 
-(* Every execution path: batched (small), local (mid), pooled (large). *)
+(* Every execution path: local (small, mid), pooled (large). *)
 let hammer_sizes = [| 64; 500; 3000; 20000 |]
 
 let signatures =
@@ -44,12 +44,20 @@ let signatures =
 
 (* ------------------------------------------------------------- hammer *)
 
+(* The JIT reads its switch per call.  Pinned off here so the pooled
+   requests run on the pool whether or not a kernel is already built. *)
+let with_jit_off f =
+  let old = Sys.getenv_opt "PLR_JIT" in
+  Unix.putenv "PLR_JIT" "off";
+  Fun.protect f ~finally:(fun () ->
+      Unix.putenv "PLR_JIT" (Option.value ~default:"" old))
+
 let test_hammer () =
+  with_jit_off @@ fun () ->
   let config =
     { Serve.default_config with
       Serve.parallel_threshold = 4096;
-      chunk_size = 1024;
-      batch_window = 2e-4 }
+      chunk_size = 1024 }
   in
   let server = Srv_i.create ~config ~domains:3 () in
   (* Reference outputs, one per (signature, size), computed serially. *)
@@ -135,7 +143,7 @@ let test_plan_cache_stress () =
 let test_plan_cache_capacity_one () =
   (* A capacity-1 server is all misses and evictions — but stays correct. *)
   let config =
-    { Serve.default_config with Serve.cache_capacity = 1; batching = false }
+    { Serve.default_config with Serve.cache_capacity = 1 }
   in
   let server = Srv_i.create ~config ~domains:1 () in
   let a = int_sig [| 1 |] [| 1 |] and b = int_sig [| 1 |] [| 2; -1 |] in
@@ -345,7 +353,25 @@ let test_snapshot_json () =
       if not (contains ~needle json) then
         Alcotest.failf "snapshot missing %s in %s" needle json)
     [ {|"submitted": 1|}; {|"completed": 1|}; {|"plan_cache_misses": 1|};
-      {|"pool"|}; {|"queue_wait"|} ]
+      {|"shards"|}; {|"queue_wait"|} ]
+
+(* [queue_wait] runs from admission to execution start.  A local request
+   never queues, so a cold plan's compile shows in [plan_build] and not
+   in [queue_wait]. *)
+let test_queue_wait_local () =
+  let server = Srv_i.create ~domains:1 () in
+  let s = int_sig [| 1 |] [| 3; -3; 1 |] in
+  let x = random_input 41 512 in
+  (match Srv_i.submit server s x with
+  | Ok y -> Alcotest.(check (array int)) "served" (Si.full s x) y
+  | Error e -> Alcotest.failf "submit: %s" (Serve.error_to_string e));
+  let m = Srv_i.metrics server in
+  Alcotest.(check int) "the plan was built" 1
+    (Metrics.Histogram.count m.Metrics.plan_build);
+  Alcotest.(check int) "one attempt" 1
+    (Metrics.Histogram.count m.Metrics.queue_wait);
+  Alcotest.(check (float 0.0)) "a local attempt queues for nothing" 0.0
+    (Metrics.Histogram.mean m.Metrics.queue_wait)
 
 (* ------------------------------------------------------------- shards *)
 
@@ -362,7 +388,6 @@ let shard_test_config =
     steal_threshold = 1;
     parallel_threshold = 256;
     chunk_size = 64;
-    batching = false;
   }
 
 let test_steal_vs_sticky_session () =
@@ -701,7 +726,9 @@ let () =
             test_shard_affinity_stable ] );
       ( "metrics",
         [ Alcotest.test_case "histogram" `Quick test_metrics_histogram;
-          Alcotest.test_case "snapshot json" `Quick test_snapshot_json ] );
+          Alcotest.test_case "snapshot json" `Quick test_snapshot_json;
+          Alcotest.test_case "local queue wait excludes the plan build" `Quick
+            test_queue_wait_local ] );
       ( "cli",
         [ Alcotest.test_case "flag errors exit 2" `Quick test_cli_flag_errors ] );
     ]

@@ -157,9 +157,10 @@ let test_disabled_zero_alloc () =
 
 (* Every serve request opens a flow; the pool worker that picks up its
    chunk tasks closes it.  Under a concurrent hammer with pooled-size
-   requests, at least one flow must demonstrably cross domains (finish
-   on a domain other than the one that started it) and every finish must
-   refer to a started flow id. *)
+   recurrence and scan requests, at least one flow must demonstrably
+   cross domains (finish on a domain other than the one that started
+   it), every finish must refer to a started flow id, and the export
+   must pass the Chrome validator. *)
 (* The JIT reads its switch per call; a kernel already in the on-disk
    cache would answer every request before the pool ran any of them. *)
 let with_jit_off f =
@@ -183,7 +184,10 @@ let test_flow_linkage () =
   let ok = Atomic.make 0 in
   let client () =
     for _ = 1 to 3 do
-      match Srv.submit server s x with
+      (match Srv.submit server s x with
+      | Ok _ -> Atomic.incr ok
+      | Error _ -> ());
+      match Srv.submit_scan server x x with
       | Ok _ -> Atomic.incr ok
       | Error _ -> ()
     done
@@ -214,7 +218,10 @@ let test_flow_linkage () =
            (fun st ->
              st.Trace.a0 = f.Trace.a0 && st.Trace.domain <> f.Trace.domain)
            starts)
-       finishes)
+       finishes);
+  match Chrome.validate (Chrome.to_string ~process_name:"test" events) with
+  | Ok _ -> ()
+  | Error e -> Alcotest.fail ("exported trace fails validation: " ^ e)
 
 let () =
   Alcotest.run "plr_trace"
