@@ -195,7 +195,7 @@ let smoke ?(n = default_n) ?(reps = 3) ?(opts = Opts.all_on) ?domains () =
           (domains, 0, 0),
           fun () ->
             stream_chunks Stream_i.process
-              (fun s -> Stream_i.create ~opts ~pool s)
+              (fun s -> Stream_i.create ~pool s)
               s xi );
       ]
     @ jit
@@ -241,7 +241,7 @@ let smoke ?(n = default_n) ?(reps = 3) ?(opts = Opts.all_on) ?domains () =
           (domains, 0, 0),
           fun () ->
             stream_chunks Stream_f.process
-              (fun s -> Stream_f.create ~opts ~pool s)
+              (fun s -> Stream_f.create ~pool s)
               s xf );
       ]
     @ jit

@@ -37,7 +37,7 @@ let scalar_equal : type a. a Plr_util.Scalar.rep -> a -> a -> bool = function
       fun u v -> Int64.equal (Int64.bits_of_float u) (Int64.bits_of_float v)
   | Plr_util.Scalar.Other_rep -> fun _ _ -> true
 
-let verified ~agree ~expected run =
+let verify ~agree ~expected run =
   let y =
     match run () with
     | y -> y
@@ -47,8 +47,7 @@ let verified ~agree ~expected run =
   Array.iteri
     (fun i v ->
       if not (agree v y.(i)) then detected "faulted run diverged at index %d" i)
-    expected;
-  y
+    expected
 
 module type CARRY = sig
   type t

@@ -18,7 +18,7 @@ module Faults = Plr_gpusim.Faults
 exception Fault_detected of string
 (** A carry failed its before-commit verification, an injected fault made
     progress impossible (a dropped publication the live protocol would
-    spin on forever), or a faulted run failed {!verified}. *)
+    spin on forever), or a faulted run failed {!verify}. *)
 
 (** {1 Chunk and window policy} *)
 
@@ -41,14 +41,15 @@ val scalar_equal : 'a Plr_util.Scalar.rep -> 'a -> 'a -> bool
 (** Bitwise scalar equality (float bit patterns).  Scalars without a
     cheap bit view compare equal, which skips verification. *)
 
-val verified :
+val verify :
   agree:('a -> 'a -> bool) ->
   expected:'a array ->
   (unit -> 'a array) ->
-  'a array
-(** [verified ~agree ~expected run] is [run ()] accepted only if it
-    agrees with [expected] element-wise — the whole-output check of an
-    engine-fault step.  @raise Fault_detected if [run] raised or
+  unit
+(** [verify ~agree ~expected run] checks [run ()] against [expected]
+    element-wise — the whole-output check of an engine-fault step, which
+    only detects: the caller commits its own clean output, never the
+    faulted run's.  @raise Fault_detected if [run] raised or
     disagreed. *)
 
 (** {1 The protocol} *)

@@ -141,8 +141,9 @@ module Make (St : STATE) = struct
         detected t;
         f None
 
+  (* A segment the checkpoint below would discard is never built. *)
   let commit t seg =
-    t.journal <- seg :: t.journal;
-    if St.position t.st - t.checkpoint_pos >= t.every then checkpoint_now t;
+    if St.position t.st - t.checkpoint_pos >= t.every then checkpoint_now t
+    else t.journal <- seg () :: t.journal;
     t.digest <- live_digest t
 end

@@ -82,9 +82,10 @@ module Make (St : STATE) : sig
       re-runs cleanly.  Call {!commit} after a step that advanced the
       state. *)
 
-  val commit : t -> St.segment -> unit
-  (** Journal a segment, snapshot when [checkpoint_every] elements have
-      passed, and re-digest the live state. *)
+  val commit : t -> (unit -> St.segment) -> unit
+  (** Snapshot when [checkpoint_every] elements have passed since the
+      last snapshot, else journal the segment (built only then), and
+      re-digest the live state. *)
 
   val recover : t -> unit
   (** Restore the last snapshot and replay the journal.

@@ -31,9 +31,6 @@ let[@inline] add_f f32 cell (y : Plr_util.Buf.t) i p =
 let[@inline] add_i (y : int array) i v =
   Array.unsafe_set y i (Array.unsafe_get y i + v)
 
-(* The first offset [q >= 0] whose factor index [q0 + q] is [r] mod [p]. *)
-let first_at ~p ~q0 r = (((r - q0) mod p) + p) mod p
-
 module Make (S : Plr_util.Scalar.S) = struct
   module A = Analysis.Make (S)
   module Nnacci = Plr_nnacci.Nnacci.Make (S)
@@ -204,7 +201,7 @@ module Make (S : Plr_util.Scalar.S) = struct
      form so the per-element dispatch of [correct] stays out of the hot
      loop.  Accumulation order per element is identical to calling [correct]
      for each q, so integer results match bitwise. *)
-  let apply_list ?(q0 = 0) t ~j ~carry y ~base ~len =
+  let apply_list t ~j ~carry y ~base ~len =
     match t.compiled.(j) with
     | All_equal f ->
         if S.is_zero f then ()
@@ -219,21 +216,20 @@ module Make (S : Plr_util.Scalar.S) = struct
         end
     | Zero_one { ones; _ } ->
         for q = 0 to len - 1 do
-          if mask_get ones (q0 + q) then y.(base + q) <- S.add y.(base + q) carry
+          if mask_get ones q then y.(base + q) <- S.add y.(base + q) carry
         done
     | Repeating { period; stored } ->
         for q = 0 to len - 1 do
-          y.(base + q) <- S.add y.(base + q) (S.mul stored.((q0 + q) mod period) carry)
+          y.(base + q) <- S.add y.(base + q) (S.mul stored.(q mod period) carry)
         done
     | Decayed { cutoff; stored } ->
         (* Decayed-tail skip: everything past the cutoff keeps its value. *)
-        let hi = min len (cutoff - q0) in
-        for q = 0 to hi - 1 do
-          y.(base + q) <- S.add y.(base + q) (S.mul stored.(q0 + q) carry)
+        for q = 0 to min len cutoff - 1 do
+          y.(base + q) <- S.add y.(base + q) (S.mul stored.(q) carry)
         done
     | Dense l ->
         for q = 0 to len - 1 do
-          y.(base + q) <- S.add y.(base + q) (S.mul l.(q0 + q) carry)
+          y.(base + q) <- S.add y.(base + q) (S.mul l.(q) carry)
         done
 
   (* Monomorphic sweeps for the unboxed CPU backends.  Matching on [S.rep]
@@ -248,15 +244,15 @@ module Make (S : Plr_util.Scalar.S) = struct
      replicates [apply_list] exactly, so results are bitwise identical to
      the generic evaluator. *)
 
-  let check_range name t ~q0 ~ylen ~base ~len =
-    if base < 0 || len < 0 || base + len > ylen || q0 < 0 || q0 + len > t.m
-    then invalid_arg (name ^ ": range out of bounds")
+  let check_range name t ~ylen ~base ~len =
+    if base < 0 || len < 0 || base + len > ylen || len > t.m then
+      invalid_arg (name ^ ": range out of bounds")
 
-  let apply_list_f ?(q0 = 0) t ~j ~(carry : S.t) (y : Plr_util.Buf.t) ~base ~len =
+  let apply_list_f t ~j ~(carry : S.t) (y : Plr_util.Buf.t) ~base ~len =
     match S.rep with
     | Plr_util.Scalar.Float_rep rounding -> (
-        check_range "Factor_plan.apply_list_f" t ~q0
-          ~ylen:(Plr_util.Buf.length y) ~base ~len;
+        check_range "Factor_plan.apply_list_f" t ~ylen:(Plr_util.Buf.length y)
+          ~base ~len;
         let f32 = rounding = Plr_util.Scalar.Round_f32 in
         let cell = Plr_util.F32.cell () in
         match t.compiled.(j) with
@@ -275,7 +271,7 @@ module Make (S : Plr_util.Scalar.S) = struct
         | Zero_one { period = Some p; ones } ->
             for r = 0 to p - 1 do
               if mask_get ones r then begin
-                let q = ref (first_at ~p ~q0 r) in
+                let q = ref r in
                 while !q < len do
                   add_f f32 cell y (base + !q) carry;
                   q := !q + p
@@ -284,10 +280,10 @@ module Make (S : Plr_util.Scalar.S) = struct
             done
         | Zero_one { period = None; ones } ->
             for q = 0 to len - 1 do
-              if mask_get ones (q0 + q) then add_f f32 cell y (base + q) carry
+              if mask_get ones q then add_f f32 cell y (base + q) carry
             done
         | Repeating { period; stored } ->
-            let r = ref (q0 mod period) in
+            let r = ref 0 in
             for i = base to base + len - 1 do
               let p = Array.unsafe_get stored !r *. carry in
               add_f f32 cell y i (round f32 cell p);
@@ -296,22 +292,22 @@ module Make (S : Plr_util.Scalar.S) = struct
             done
         | Decayed { cutoff; stored } ->
             (* Decayed-tail skip: everything past the cutoff keeps its value. *)
-            for q = 0 to min len (cutoff - q0) - 1 do
-              let p = Array.unsafe_get stored (q0 + q) *. carry in
+            for q = 0 to min len cutoff - 1 do
+              let p = Array.unsafe_get stored q *. carry in
               add_f f32 cell y (base + q) (round f32 cell p)
             done
         | Dense l ->
             for q = 0 to len - 1 do
-              let p = Array.unsafe_get l (q0 + q) *. carry in
+              let p = Array.unsafe_get l q *. carry in
               add_f f32 cell y (base + q) (round f32 cell p)
             done)
     | _ -> invalid_arg "Factor_plan.apply_list_f: not a float scalar"
 
-  let apply_list_int ?(q0 = 0) t ~j ~(carry : S.t) (y : int array) ~base ~len =
+  let apply_list_int t ~j ~(carry : S.t) (y : int array) ~base ~len =
     match S.rep with
     | Plr_util.Scalar.Int_rep -> (
-        check_range "Factor_plan.apply_list_int" t ~q0 ~ylen:(Array.length y)
-          ~base ~len;
+        check_range "Factor_plan.apply_list_int" t ~ylen:(Array.length y) ~base
+          ~len;
         match t.compiled.(j) with
         | All_equal f ->
             if f <> 0 then begin
@@ -323,7 +319,7 @@ module Make (S : Plr_util.Scalar.S) = struct
         | Zero_one { period = Some p; ones } ->
             for r = 0 to p - 1 do
               if mask_get ones r then begin
-                let q = ref (first_at ~p ~q0 r) in
+                let q = ref r in
                 while !q < len do
                   add_i y (base + !q) carry;
                   q := !q + p
@@ -332,22 +328,22 @@ module Make (S : Plr_util.Scalar.S) = struct
             done
         | Zero_one { period = None; ones } ->
             for q = 0 to len - 1 do
-              if mask_get ones (q0 + q) then add_i y (base + q) carry
+              if mask_get ones q then add_i y (base + q) carry
             done
         | Repeating { period; stored } ->
-            let r = ref (q0 mod period) in
+            let r = ref 0 in
             for i = base to base + len - 1 do
               add_i y i (Array.unsafe_get stored !r * carry);
               incr r;
               if !r = period then r := 0
             done
         | Decayed { cutoff; stored } ->
-            for q = 0 to min len (cutoff - q0) - 1 do
-              add_i y (base + q) (Array.unsafe_get stored (q0 + q) * carry)
+            for q = 0 to min len cutoff - 1 do
+              add_i y (base + q) (Array.unsafe_get stored q * carry)
             done
         | Dense l ->
             for q = 0 to len - 1 do
-              add_i y (base + q) (Array.unsafe_get l (q0 + q) * carry)
+              add_i y (base + q) (Array.unsafe_get l q * carry)
             done)
     | _ -> invalid_arg "Factor_plan.apply_list_int: not an int scalar"
 

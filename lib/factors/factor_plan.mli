@@ -72,16 +72,13 @@ module Make (S : Plr_util.Scalar.S) : sig
       [hooks] with the specialized operation mix. *)
 
   val apply_list :
-    ?q0:int -> t -> j:int -> carry:S.t -> S.t array -> base:int -> len:int -> unit
-  (** Whole-list correction sweep: [y.(base+q) += F_j(q0+q)·carry] for
+    t -> j:int -> carry:S.t -> S.t array -> base:int -> len:int -> unit
+  (** Whole-list correction sweep: [y.(base+q) += F_j(q)·carry] for
       [q ∈ [0, len)], specialized per compiled form (the CPU hot path).
       Equivalent to folding {!correct} over [q]; a [Decayed] list stops at
-      its cutoff.  [q0] (default 0) offsets the factor index without
-      moving the output window, so a long sweep can be split into
-      independent ranges and run in parallel. *)
+      its cutoff. *)
 
   val apply_list_f :
-    ?q0:int ->
     t ->
     j:int ->
     carry:S.t ->
@@ -95,11 +92,10 @@ module Make (S : Plr_util.Scalar.S) : sig
       operation/rounding sequence exactly, so results are bitwise
       identical — including the emulated-binary32 round after every add
       and multiply.  The range is checked once, up front: an output
-      window outside the buffer, or factor indices [q0 .. q0+len-1]
-      outside the plan's [m], raise [Invalid_argument]. *)
+      window outside the buffer, or a [len] past the plan's [m], raise
+      [Invalid_argument]. *)
 
   val apply_list_int :
-    ?q0:int ->
     t ->
     j:int ->
     carry:S.t ->

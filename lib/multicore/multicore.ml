@@ -17,13 +17,14 @@ let default_window = Lookback.default_window
 (* Monomorphic fused chunk solves: the FIR part reads the immutable input
    (including the tail of the previous chunk) and the feedback part reads
    only this chunk's own outputs, exactly like the generic
-   [solve_chunk_fused] below, with the same per-element operation order
+   [solve_range] below, with the same per-element operation order
    [((0 + a0·x(i)) + a1·x(i-1) ...) + b1·y(i-1) + b2·y(i-2) ...].  The
    first k outputs of a chunk see fewer than k predecessors and take the
-   order-generic [solve_range_*] loop; the rest take a kernel specialized
-   on the order that keeps the accumulator and the last k outputs in
-   locals, so each output is stored once and never reloaded.  Float
-   orders above 3 and int orders above 2 stay on the generic loop. *)
+   order-generic [solve_range_*] loop; the rest ([solve_tail_*]) take a
+   kernel specialized on the order that keeps the accumulator and the
+   last k outputs in locals, so each output is stored once and never
+   reloaded.  Float orders above 3 and int orders above 2 stay on the
+   generic loop. *)
 
 (* Binary32 rounding through the call's own {!Plr_util.F32.cell}: a
    store and a load the compiler emits inline, bitwise the
@@ -124,17 +125,23 @@ let solve_f3 ~f32 cell ~(forward : float array) ~(feedback : float array)
     y1 := v
   done
 
-let solve_chunk_f ~f32 ~forward ~feedback x y ~base ~len =
+(* Outputs [lo, hi) once the k outputs before [lo >= k] are in [y]: the
+   kernel for the order, or the generic loop, which then sums all k
+   feedback terms wherever the chunk began. *)
+let solve_tail_f ~f32 ~forward ~feedback x y ~lo ~hi =
   let cell = Plr_util.F32.cell () in
+  match Array.length feedback with
+  | 1 -> solve_f1 ~f32 cell ~forward ~feedback x y ~lo ~hi
+  | 2 -> solve_f2 ~f32 cell ~forward ~feedback x y ~lo ~hi
+  | 3 -> solve_f3 ~f32 cell ~forward ~feedback x y ~lo ~hi
+  | _ -> solve_range_f ~f32 cell ~forward ~feedback x y ~base:0 ~lo ~hi
+
+let solve_chunk_f ~f32 ~forward ~feedback x y ~base ~len =
   let k = Array.length feedback in
   let lo = base + min len k and hi = base + len in
-  solve_range_f ~f32 cell ~forward ~feedback x y ~base ~lo:base ~hi:lo;
-  if lo < hi then
-    match k with
-    | 1 -> solve_f1 ~f32 cell ~forward ~feedback x y ~lo ~hi
-    | 2 -> solve_f2 ~f32 cell ~forward ~feedback x y ~lo ~hi
-    | 3 -> solve_f3 ~f32 cell ~forward ~feedback x y ~lo ~hi
-    | _ -> solve_range_f ~f32 cell ~forward ~feedback x y ~base ~lo ~hi
+  solve_range_f ~f32 (Plr_util.F32.cell ()) ~forward ~feedback x y ~base
+    ~lo:base ~hi:lo;
+  if lo < hi then solve_tail_f ~f32 ~forward ~feedback x y ~lo ~hi
 
 (* The same on flat [int array] storage.  Int arithmetic is exact mod
    2^63, so the order of the sum is free: each kernel adds the chained
@@ -194,15 +201,17 @@ let solve_i2 ~(forward : int array) ~(feedback : int array) (x : int array)
     y1 := v
   done
 
+let solve_tail_i ~forward ~feedback x y ~lo ~hi =
+  match Array.length feedback with
+  | 1 -> solve_i1 ~forward ~feedback x y ~lo ~hi
+  | 2 -> solve_i2 ~forward ~feedback x y ~lo ~hi
+  | _ -> solve_range_i ~forward ~feedback x y ~base:0 ~lo ~hi
+
 let solve_chunk_i ~forward ~feedback x y ~base ~len =
   let k = Array.length feedback in
   let lo = base + min len k and hi = base + len in
   solve_range_i ~forward ~feedback x y ~base ~lo:base ~hi:lo;
-  if lo < hi then
-    match k with
-    | 1 -> solve_i1 ~forward ~feedback x y ~lo ~hi
-    | 2 -> solve_i2 ~forward ~feedback x y ~lo ~hi
-    | _ -> solve_range_i ~forward ~feedback x y ~base ~lo ~hi
+  if lo < hi then solve_tail_i ~forward ~feedback x y ~lo ~hi
 
 module Make (S : Plr_util.Scalar.S) = struct
   module FP = Plr_factors.Factor_plan.Make (S)
@@ -223,17 +232,18 @@ module Make (S : Plr_util.Scalar.S) = struct
      the original for every scalar domain. *)
   let corrupt v = S.add (S.mul v (S.of_int 3)) (S.of_int 41)
 
-  (* The fused local pass: map stage (eq. 2) and local solve in one sweep.
-     The FIR part reads the immutable input (including the tail of the
-     previous chunk, so no serial whole-array pre-pass is needed) and the
-     feedback part reads only this chunk's own output — together exactly
-     [Serial.fir] followed by a per-chunk [recurrence_in_place], with the
-     same operation order, so results are bit-identical to the reference
+  (* The fused local pass: map stage (eq. 2) and local solve in one sweep,
+     outputs [lo, hi) of the chunk starting at [base].  The FIR part reads
+     the immutable input (including the tail of the previous chunk, so no
+     serial whole-array pre-pass is needed) and the feedback part reads
+     only this chunk's own output — together exactly [Serial.fir]
+     followed by a per-chunk [recurrence_in_place], with the same
+     operation order, so results are bit-identical to the reference
      decomposition. *)
-  let solve_chunk_fused ~forward ~feedback x y ~base ~len =
+  let solve_range ~forward ~feedback x y ~base ~lo ~hi =
     let taps = Array.length forward in
     let k = Array.length feedback in
-    for i = base to base + len - 1 do
+    for i = lo to hi - 1 do
       let acc = ref S.zero in
       for t = 0 to min i (taps - 1) do
         acc := S.add !acc (S.mul forward.(t) x.(i - t))
@@ -365,8 +375,8 @@ module Make (S : Plr_util.Scalar.S) = struct
   (* Buf-in/Buf-out entry for float scalars, and the unboxed path of
      [run]: the monomorphic kernels are built where matching the
      representation witness has refined [S.t] to [float].  [dst] is
-     caller-allocated (and reusable across calls — [Stream] keeps one), so
-     a warmed-up run performs no per-element allocation. *)
+     caller-allocated (and reusable across calls), so a warmed-up run
+     performs no per-element allocation. *)
   let run_into ?(opts = Opts.all_on) ?plan ?(cancel = Cancel.none) ?pool
       ?domains ?chunk_size ?window (s : S.t Signature.t) ~(src : Buf.t)
       ~(dst : Buf.t) =
@@ -431,7 +441,9 @@ module Make (S : Plr_util.Scalar.S) = struct
               ~poison:(fun ~base ~len ->
                 y.(base) <- poison;
                 y.(base + len - 1) <- poison)
-              ~solve:(solve_chunk_fused ~forward ~feedback input y)
+              ~solve:(fun ~base ~len ->
+                solve_range ~forward ~feedback input y ~base ~lo:base
+                  ~hi:(base + len))
               ~sweep:(fun fp ~j ~carry -> FP.apply_list fp ~j ~carry y)
               ~get:(Array.get y) ());
         y

@@ -54,7 +54,29 @@ val default_window : pool_size:int -> int
 (** {!Plr_exec.Lookback.default_window}; a measured tuning
     ({!Plr_core.Tune}) may override it per run. *)
 
+val solve_tail_f :
+  f32:bool -> forward:float array -> feedback:float array -> Plr_util.Buf.t ->
+  Plr_util.Buf.t -> lo:int -> hi:int -> unit
+(** [solve_tail_f ~f32 ~forward ~feedback x y ~lo ~hi] writes outputs
+    [lo, hi) of [y] once the k = [Array.length feedback] outputs before
+    [lo >= k] are in [y]: the kernel for orders 1–3, the generic loop
+    above, with [Serial.full]'s operation order and, when [f32], its
+    binary32 rounding.  Output [i] sums the taps down to [x(max 0
+    (i - taps + 1))].  Bounds are not checked. *)
+
+val solve_tail_i :
+  forward:int array -> feedback:int array -> int array -> int array ->
+  lo:int -> hi:int -> unit
+(** {!solve_tail_f} on flat [int array] storage (kernels for orders
+    1–2). *)
+
 module Make (S : Plr_util.Scalar.S) : sig
+  val solve_range :
+    forward:S.t array -> feedback:S.t array -> S.t array -> S.t array ->
+    base:int -> lo:int -> hi:int -> unit
+  (** The generic boxed chunk solve: outputs [lo, hi) of the chunk that
+      starts at [base], whose feedback terms reach back to [base] only. *)
+
   val default_chunk_size : domains:int -> int -> int
   (** {!Plr_exec.Lookback.default_chunk_size}: the chunk size [run] uses
       when none is given. *)

@@ -3,11 +3,14 @@
 
     This is the API a real-time DSP consumer of PLR needs (the paper's §1
     telecom/audio motivation): audio arrives in buffers, but the recurrence
-    state must flow across buffer boundaries.  Each chunk is solved locally
-    with the parallel backend and then corrected with the same n-nacci
-    factors Phase 2 uses, against the carries saved from the previous
-    chunk — i.e. the stream is a decoupled look-back pipeline whose chunks
-    arrive over time instead of over thread blocks.
+    state must flow across buffer boundaries.  A piece arrives with its
+    final carries, so nothing is left to look back for: each piece is the
+    serial recurrence (§2) continued from the carried state — a short
+    prologue over the carries and the FIR input tail, then the
+    order-specialized kernels of {!Multicore} for the storage.  The
+    concatenated output is bitwise {!Plr_serial.Serial.Make.full} over the
+    concatenated input, for every scalar, every split into pieces and
+    every pool.
 
     The state words (carries, FIR input tail, position) are exposed for
     snapshot and restore, so {!Plr_serve.Session} wraps a stream with
@@ -18,24 +21,24 @@ module Make (S : Plr_util.Scalar.S) : sig
   type t
 
   val create :
-    ?pool:Plr_exec.Pool.t ->
-    ?domains:int -> ?opts:Plr_factors.Opts.t -> S.t Signature.t -> t
+    ?pool:Plr_exec.Pool.t -> ?domains:int -> S.t Signature.t -> t
   (** A fresh stream in the zero state (as if preceded by zeros).  [pool]
-      (default: the registry pool for [domains]) supplies the persistent
-      worker domains used for both the local solves and, on large
-      buffers, the boundary-correction sweep.  [opts] (default
-      {!Plr_factors.Opts.all_on}) selects the factor specializations used
-      by the boundary-correction sweep; the compiled factor plan is grown
-      geometrically as larger chunks arrive. *)
+      (default: the registry pool for [domains]) runs only the engine of
+      a {!process_faulted} step; a clean piece is solved on the calling
+      domain. *)
 
   val process : t -> S.t array -> S.t array
   (** Filter the next chunk (any length, including empty) and advance the
-      internal state. *)
+      internal state.  The outputs since {!create} or {!reset} are
+      bitwise {!Plr_serial.Serial.Make.full} over the inputs since then,
+      unless a {!restore} came between. *)
 
   val process_faulted : t -> seed:int -> tol:float -> S.t array -> S.t array
-  (** {!process} with the local solve run under the fault plan drawn from
-      [seed] (16-element chunks), checked whole against the serial
-      reference (within [tol] for floats) before any state is committed.
+  (** {!process} preceded by a detection-only engine step: the pooled
+      look-back engine solves the chunk from the zero state under the
+      fault plan drawn from [seed] (16-element chunks) and is checked
+      whole against the serial reference (within [tol] for floats).  The
+      engine's output is never returned or committed.
       @raise Plr_exec.Lookback.Fault_detected if the faulted engine raised
       or diverged; the state is then unchanged. *)
 

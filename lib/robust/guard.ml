@@ -252,10 +252,10 @@ module Make (S : Plr_util.Scalar.S) = struct
    fun s input ->
     match JB.run jit input with Some y -> y | None -> fallback s input
 
-  let stream_runner ?pool ?domains ?opts ~buffer () : runner =
+  let stream_runner ?pool ?domains ~buffer () : runner =
    fun s input ->
     let buffer = max 1 buffer in
-    let stream = Stream.create ?pool ?domains ?opts s in
+    let stream = Stream.create ?pool ?domains s in
     let n = Array.length input in
     let pieces = ref [] in
     let pos = ref 0 in

@@ -111,8 +111,7 @@ module Make (S : Plr_util.Scalar.S) : sig
       guard's check ladder passes it untouched. *)
 
   val stream_runner :
-    ?pool:Plr_exec.Pool.t -> ?domains:int -> ?opts:Plr_core.Opts.t ->
-    buffer:int -> unit -> runner
+    ?pool:Plr_exec.Pool.t -> ?domains:int -> buffer:int -> unit -> runner
   (** Feeds the input through {!Plr_multicore.Stream} in [buffer]-sized
       chunks and concatenates the results. *)
 

@@ -479,30 +479,28 @@ module Make (S : Plr_util.Scalar.S) = struct
 
     (* Exactly the state transition of one data piece, so recovery replay
        goes through this same code and reproduces the state bit-for-bit.
-       Clean pieces run [sparse] from the exact carry: bitwise identical
-       to the serial reference over the concatenated stream.  A faulted
-       piece runs the engine under the injected plan and is verified
-       whole before any state commits, so silent divergence is
-       structurally impossible on this path. *)
+       Every piece commits [sparse] from the exact carry: bitwise
+       identical to the serial reference over the concatenated stream.  A
+       faulted piece also runs the engine under the injected plan, only
+       to detect: it is checked whole before any state commits, and its
+       output is never served. *)
     let process_data ?seed st ~a ~b =
       let n = Array.length a in
       if n = 0 then [||]
       else begin
-        let expected = sparse ~y0:st.y a b in
-        let y =
-          match seed with
-          | None -> expected
-          | Some seed ->
-              let m = max 1 (min Recoverable.faulted_chunk n) in
-              let faults =
-                Faults.random ~seed ~chunks:((n + m - 1) / m) ~lanes:2
-                  ~max_events:3 ()
-              in
-              Lookback.verified ~agree:(S.approx_equal ~tol:st.tol) ~expected
-                (fun () ->
-                  run ~faults ~pool:st.pool
-                    ~chunk_size:Recoverable.faulted_chunk ~y0:st.y a b)
-        in
+        let y = sparse ~y0:st.y a b in
+        Option.iter
+          (fun seed ->
+            let m = max 1 (min Recoverable.faulted_chunk n) in
+            let faults =
+              Faults.random ~seed ~chunks:((n + m - 1) / m) ~lanes:2
+                ~max_events:3 ()
+            in
+            Lookback.verify ~agree:(S.approx_equal ~tol:st.tol) ~expected:y
+              (fun () ->
+                run ~faults ~pool:st.pool
+                  ~chunk_size:Recoverable.faulted_chunk ~y0:st.y a b))
+          seed;
         st.y <- y.(n - 1);
         st.pos <- st.pos + n;
         y
@@ -590,14 +588,15 @@ module Make (S : Plr_util.Scalar.S) = struct
       let y =
         R.step t fault (fun seed -> process_data ?seed (R.state t) ~a ~b)
       in
-      if Array.length a > 0 then R.commit t (Data (Array.copy a, Array.copy b));
+      if Array.length a > 0 then
+        R.commit t (fun () -> Data (Array.copy a, Array.copy b));
       y
 
     let jump ?fault ?op t steps =
       R.step t fault ignore;
       if steps > 0 then begin
         advance (R.state t) ?op steps;
-        R.commit t (Jump (op, steps))
+        R.commit t (fun () -> Jump (op, steps))
       end
 
     let skip ?fault t n =

@@ -811,8 +811,7 @@ module Make (S : Plr_util.Scalar.S) = struct
     (* Sticky state lives on the signature's home shard — the same place
        plain requests for that signature land. *)
     let home = home_shard t (cache_key t s) in
-    Session.create ~pool:home.spool ~opts:t.config.opts ~metrics:t.metrics
-      ?checkpoint_every s
+    Session.create ~pool:home.spool ~metrics:t.metrics ?checkpoint_every s
 
   let migrate_session t session ~shard =
     if shard < 0 || shard >= Array.length t.shards_ then

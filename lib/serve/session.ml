@@ -27,7 +27,6 @@ module Make (S : Plr_util.Scalar.S) = struct
   (* The recovered state: a stream on the session's pool (replaced only
      by [migrate]) plus what a gap and a checkpoint need. *)
   type filter = {
-    opts : Plr_factors.Opts.t;
     metrics : Metrics.t option;
     tol : float;
     comp : Companion.t;
@@ -115,20 +114,18 @@ module Make (S : Plr_util.Scalar.S) = struct
 
   type t = { r : R.t; f : filter; mutable migrations : int }
 
-  let create ?pool ?domains ?(opts = Plr_factors.Opts.all_on) ?metrics
-      ?checkpoint_every ?(tol = 1e-3)
+  let create ?pool ?domains ?metrics ?checkpoint_every ?(tol = 1e-3)
       (signature : S.t Signature.t) =
     let pool = match pool with Some p -> p | None -> Pool.get ?domains () in
     let f =
       {
-        opts;
         metrics;
         tol;
         (* Compiled from the full signature so the checkpoint layer knows
            the real FIR tap count; [advance] reads only the feedback. *)
         comp = Companion.compile signature;
         pool;
-        stream = Stream.create ~pool ~opts signature;
+        stream = Stream.create ~pool signature;
         fastforwards = 0;
       }
     in
@@ -170,7 +167,7 @@ module Make (S : Plr_util.Scalar.S) = struct
         (R.pending t.r);
       Fun.protect ~finally:Trace.end_span @@ fun () ->
       t.f.pool <- pool;
-      t.f.stream <- Stream.create ~pool ~opts:t.f.opts (signature t);
+      t.f.stream <- Stream.create ~pool (signature t);
       R.recover t.r;
       t.migrations <- t.migrations + 1;
       metric t.f (fun m -> Metrics.Counter.incr m.Metrics.session_migrations)
@@ -178,7 +175,7 @@ module Make (S : Plr_util.Scalar.S) = struct
 
   let process ?fault t x =
     let y = R.step t.r fault (fun seed -> process_data ?seed t.f x) in
-    if Array.length x > 0 then R.commit t.r (Data (Array.copy x));
+    if Array.length x > 0 then R.commit t.r (fun () -> Data (Array.copy x));
     y
 
   let skip ?fault t n =
@@ -186,6 +183,6 @@ module Make (S : Plr_util.Scalar.S) = struct
     R.step t.r fault ignore;
     if n > 0 then begin
       gap_advance t.f n;
-      R.commit t.r (Gap n)
+      R.commit t.r (fun () -> Gap n)
     end
 end

@@ -17,14 +17,19 @@
       the journal, with input-free gaps skipped by companion-matrix powers
       instead of replayed.  Replay runs the exact original code path, so
       the rebuilt state is bit-identical to the unfaulted run's;
+    - an engine fault only detects: the faulted engine's output is
+      checked and dropped, and the piece is the stream's clean output;
     - gaps ({!Make.skip}) fast-forward in O(k³ log g) after a
       [taps - 1]-element warm-up, never materializing the zeros.
 
     The session adds no filter code of its own, so its output is bitwise
-    the stream's.  Fault injection (the [?fault] arguments) drives the
-    same paths deterministically for the chaos harness; the emitted trace spans ([session.checkpoint],
-    [session.recover], [session.ff]) let tests prove recovery used
-    checkpoint + fast-forward, not full replay. *)
+    the stream's — without gaps, {!Plr_serial.Serial.Make.full} over the
+    session's inputs — across recovery, engine faults and migration
+    between pools of any size.  Fault injection (the [?fault] arguments)
+    drives the same paths deterministically for the chaos harness; the
+    emitted trace spans ([session.checkpoint], [session.recover],
+    [session.ff]) let tests prove recovery used checkpoint +
+    fast-forward, not full replay. *)
 
 type fault = Plr_exec.Recoverable.fault =
   | Crash  (** lose the in-memory state before the next call's work *)
@@ -52,7 +57,6 @@ module Make (S : Plr_util.Scalar.S) : sig
   val create :
     ?pool:Plr_exec.Pool.t ->
     ?domains:int ->
-    ?opts:Plr_factors.Opts.t ->
     ?metrics:Metrics.t ->
     ?checkpoint_every:int ->
     ?tol:float ->
@@ -83,8 +87,8 @@ module Make (S : Plr_util.Scalar.S) : sig
       reuses the recovery path: the last checkpoint is restored and the
       journal replayed on the destination pool, so the rebuilt state is
       bit-identical to the pre-migration state and subsequent outputs
-      are unaffected.  A no-op when [pool] is already the session's
-      pool.  Counted in {!stats.migrations} (and
+      are unaffected, whatever the two pools' sizes.  A no-op when
+      [pool] is already the session's pool.  Counted in {!stats.migrations} (and
       {!Metrics.t.session_migrations} when the session carries metrics);
       emits a [session.migrate] trace span.
       @raise Failure if the last checkpoint fails its digest check. *)

@@ -4,7 +4,7 @@
      multicore CPU backend, the streaming API, and the serial reference
      must agree on randomized signatures and inputs, with the factor
      optimizations both on and off (exact for integers, the paper's 1e-3
-     bound for float32). *)
+     bound for float32; the stream, which runs no factors, bitwise). *)
 
 module Scalar = Plr_util.Scalar
 module Spec = Plr_gpusim.Spec
@@ -136,47 +136,6 @@ let test_apply_list_equivalence () =
       ([| 2; -1 |], Opts.all_on); ([| 3; -3; 1 |], Opts.all_on);
       ([| 1 |], Opts.all_off); ([| -1 |], Opts.all_off) ]
 
-(* Splitting one sweep into [q0]-offset ranges must reproduce the whole
-   sweep bit for bit — this is what lets the stream backend parallelize
-   its boundary correction. *)
-let test_apply_list_q0_split () =
-  let gen = Plr_util.Splitmix.create 5152 in
-  List.iter
-    (fun (feedback, opts) ->
-      let m = 96 in
-      let fp = FPi.of_feedback ~opts ~feedback ~m () in
-      for j = 0 to fp.FPi.order - 1 do
-        let carry = Plr_util.Splitmix.int_in gen ~lo:(-9) ~hi:9 in
-        let y0 =
-          Array.init m (fun _ -> Plr_util.Splitmix.int_in gen ~lo:(-9) ~hi:9)
-        in
-        let whole = Array.copy y0 in
-        FPi.apply_list fp ~j ~carry whole ~base:0 ~len:m;
-        let split = Array.copy y0 in
-        let pos = ref 0 in
-        while !pos < m do
-          let len = min (1 + Plr_util.Splitmix.int_in gen ~lo:0 ~hi:40) (m - !pos) in
-          FPi.apply_list ~q0:!pos fp ~j ~carry split ~base:!pos ~len;
-          pos := !pos + len
-        done;
-        check_ints (Printf.sprintf "q0 range split = whole sweep (j=%d)" j)
-          whole split
-      done)
-    [ ([| 1 |], Opts.all_on); ([| 0; 1 |], Opts.all_on); ([| -1 |], Opts.all_on);
-      ([| 2; -1 |], Opts.all_on); ([| 3; -3; 1 |], Opts.all_on);
-      ([| 0; 1 |], Opts.all_off) ];
-  (* the Decayed form must honor the cutoff across range boundaries *)
-  let m = 300 in
-  let fp = FPf.of_feedback ~feedback:[| 0.5 |] ~m () in
-  let y0 = Array.init m (fun i -> Float.of_int (i mod 7) /. 8.0) in
-  let whole = Array.copy y0 in
-  FPf.apply_list fp ~j:0 ~carry:0.75 whole ~base:0 ~len:m;
-  let split = Array.copy y0 in
-  List.iter
-    (fun (q0, len) -> FPf.apply_list ~q0 fp ~j:0 ~carry:0.75 split ~base:q0 ~len)
-    [ (0, 7); (7, 100); (107, 150); (257, 43) ];
-  check_bool "decayed q0 split bitwise equal" true (whole = split)
-
 (* The float path must be bitwise self-consistent too (the tolerance only
    buys slack *across* backends, not within one plan). *)
 let test_apply_list_float_bitwise () =
@@ -216,9 +175,9 @@ let random_int_signature () =
   if feedback.(k - 1) = 0 then feedback.(k - 1) <- 1;
   int_sig forward feedback
 
-let stream_int ~opts s x =
+let stream_int s x =
   let n = Array.length x in
-  let t = Sti.create ~opts s in
+  let t = Sti.create s in
   let out = Array.make n 0 in
   let pos = ref 0 in
   while !pos < n do
@@ -229,9 +188,9 @@ let stream_int ~opts s x =
   done;
   out
 
-let stream_f32 ~opts s x =
+let stream_f32 s x =
   let n = Array.length x in
-  let t = Stf.create ~opts s in
+  let t = Stf.create s in
   let out = Array.make n 0.0 in
   let pos = ref 0 in
   while !pos < n do
@@ -261,9 +220,9 @@ let test_cross_backend_int () =
       (fun (oname, opts) ->
         let r = Ei.run ~opts ~spec s input in
         check_ints (tag "gpusim" oname) expected r.Ei.output;
-        check_ints (tag "multicore" oname) expected (Mi.run ~opts s input);
-        check_ints (tag "stream" oname) expected (stream_int ~opts s input))
-      both_opts
+        check_ints (tag "multicore" oname) expected (Mi.run ~opts s input))
+      both_opts;
+    check_ints (tag "stream" "") expected (stream_int s input)
   done
 
 (* The single-pass look-back engine must agree with serial for every pool
@@ -322,9 +281,15 @@ let test_cross_backend_float () =
             (fun (oname, opts) ->
               let r = Ef.run ~opts ~spec s input in
               ok "gpusim" oname r.Ef.output;
-              ok "multicore" oname (Mf.run ~opts s input);
-              ok "stream" oname (stream_f32 ~opts s input))
-            both_opts)
+              ok "multicore" oname (Mf.run ~opts s input))
+            both_opts;
+          (* a stream continues the serial recurrence: bitwise *)
+          if
+            not
+              (Array.for_all2
+                 (fun u v -> Int64.bits_of_float u = Int64.bits_of_float v)
+                 expected (stream_f32 s input))
+          then Alcotest.failf "%s stream n=%d: not bitwise serial" e.Table1.name n)
         [ 300; 1111; 2048; 3999 ])
     Table1.float_entries
 
@@ -338,8 +303,6 @@ let () =
           Alcotest.test_case "table elems + value" `Quick test_table_elems;
           Alcotest.test_case "apply_list equivalence" `Quick
             test_apply_list_equivalence;
-          Alcotest.test_case "apply_list q0 range split" `Quick
-            test_apply_list_q0_split;
           Alcotest.test_case "float bitwise self-consistency" `Quick
             test_apply_list_float_bitwise;
         ] );

@@ -137,22 +137,129 @@ let test_stream_filter_audio_style () =
         Alcotest.failf "stream filter differs at %d" i)
     got
 
-let prop_stream_chunking_invariance =
-  QCheck_alcotest.to_alcotest
-    (QCheck2.Test.make ~name:"stream output is chunking-invariant" ~count:80
-       QCheck2.Gen.(
-         triple
-           (array_size (int_range 1 3) (int_range (-2) 2))
-           (list_size (int_range 1 60) (int_range (-9) 9))
-           (list_size (int_range 1 10) (int_range 1 15)))
-       (fun (fb, l, sizes) ->
-         let fb = Array.copy fb in
-         let kk = Array.length fb in
-         if fb.(kk - 1) = 0 then fb.(kk - 1) <- 1;
-         let s = int_sig [| 1; 1 |] fb in
-         let input = Array.of_list l in
-         let stream = Stream_i.create s in
-         process_chunks stream (chop input sizes) = Si.full s input))
+(* A shrinking property over the stream: random signatures of order 1–5
+   with 1–4 taps, random splits (empty, single-element and shorter-than-k
+   pieces included), pools of one and two domains, and NaN payloads,
+   ±inf, −0.0, binary32 subnormals and ints next to [max_int]/[min_int]
+   (wraparound) among the inputs and coefficients.  The concatenated
+   output must be bitwise [Serial.full].  300 cases per scalar, 3000 with
+   [QCHECK_LONG=1]; [QCHECK_SEED=N] fixes the seed. *)
+module Stream_props (S : Scalar.S) = struct
+  module Serial = Plr_serial.Serial.Make (S)
+  module Stream = Plr_multicore.Stream.Make (S)
+
+  let show (v : S.t) =
+    match S.rep with
+    | Scalar.Float_rep _ ->
+        if Float.is_nan v then Printf.sprintf "nan(%Lx)" (Int64.bits_of_float v)
+        else Printf.sprintf "%h" v
+    | _ -> S.to_string v
+
+  let show_array a =
+    "[|" ^ String.concat "; " (Array.to_list (Array.map show a)) ^ "|]"
+
+  let bitwise (a : S.t array) (b : S.t array) =
+    Array.length a = Array.length b
+    &&
+    match S.rep with
+    | Scalar.Float_rep _ ->
+        Array.for_all2
+          (fun u v -> Int64.equal (Int64.bits_of_float u) (Int64.bits_of_float v))
+          a b
+    | _ -> Array.for_all2 S.equal a b
+
+  let edges =
+    match S.kind with
+    | Scalar.Integer ->
+        List.map S.of_int [ max_int; min_int; max_int - 1; min_int + 1 ]
+    | Scalar.Floating ->
+        List.map S.of_float
+          [ Float.nan; Float.signaling_nan;
+            Int64.float_of_bits 0xFFF8_0000_0000_0000L; infinity;
+            neg_infinity; -0.0; 0x1p-149; -0x1.fffffcp-127; 0x1p-126 ]
+
+  let value =
+    let open QCheck2.Gen in
+    let plain =
+      match S.kind with
+      | Scalar.Integer -> map S.of_int (int_range (-9) 9)
+      | Scalar.Floating -> map S.of_float (float_range (-1.5) 1.5)
+    in
+    frequency [ (8, plain); (1, oneofl edges) ]
+
+  (* [len] coefficients, the last one nonzero as [Signature.create] asks. *)
+  let coeffs len =
+    QCheck2.Gen.(
+      map2
+        (fun init last ->
+          Array.append init [| (if S.is_zero last then S.one else last) |])
+        (array_size (return (len - 1)) value)
+        value)
+
+  type case = {
+    forward : S.t array;
+    feedback : S.t array;
+    domains : int;
+    x : S.t array;
+    sizes : int list;  (** piece lengths; the rest of [x] is the last piece *)
+  }
+
+  let print c =
+    Printf.sprintf "{forward=%s; feedback=%s; domains=%d; sizes=[%s]; x=%s}"
+      (show_array c.forward) (show_array c.feedback) c.domains
+      (String.concat "; " (List.map string_of_int c.sizes))
+      (show_array c.x)
+
+  let gen =
+    let open QCheck2.Gen in
+    let* k = int_range 1 5 in
+    let* taps = int_range 1 4 in
+    let* forward = coeffs taps and* feedback = coeffs k in
+    let* domains = int_range 1 2 in
+    let* x = array_size (int_range 0 (12 * k)) value in
+    let+ sizes =
+      list_size (int_range 0 12)
+        (oneof [ return 0; return 1; int_range 0 (k - 1); int_range 0 (4 * k) ])
+    in
+    { forward; feedback; domains; x; sizes }
+
+  let pools = lazy (Array.init 2 (fun i -> Plr_exec.Pool.get ~domains:(i + 1) ()))
+
+  let split x sizes =
+    let n = Array.length x in
+    let rec go pos = function
+      | [] -> [ Array.sub x pos (n - pos) ]
+      | len :: rest ->
+          let len = min len (n - pos) in
+          Array.sub x pos len :: go (pos + len) rest
+    in
+    go 0 sizes
+
+  let agrees c =
+    let s =
+      Signature.create ~is_zero:S.is_zero ~forward:c.forward
+        ~feedback:c.feedback
+    in
+    let st = Stream.create ~pool:(Lazy.force pools).(c.domains - 1) s in
+    bitwise (Serial.full s c.x)
+      (Array.concat (List.map (Stream.process st) (split c.x c.sizes)))
+
+  let test =
+    let scalar =
+      match S.rep with
+      | Scalar.Float_rep Scalar.Round_f32 -> "f32"
+      | Scalar.Float_rep Scalar.Exact -> "f64"
+      | _ -> S.ctype
+    in
+    QCheck_alcotest.to_alcotest
+      (QCheck2.Test.make
+         ~name:(scalar ^ " stream = Serial.full over any split")
+         ~count:300 ~long_factor:10 ~print gen agrees)
+end
+
+module Stream_props_int = Stream_props (Scalar.Int)
+module Stream_props_f32 = Stream_props (Scalar.F32)
+module Stream_props_f64 = Stream_props (Scalar.F64)
 
 let prop_equivalence =
   let gen_case =
@@ -192,6 +299,8 @@ let () =
           Alcotest.test_case "reset" `Quick test_stream_reset;
           Alcotest.test_case "empty chunks" `Quick test_stream_empty_chunks;
           Alcotest.test_case "audio-style buffers" `Quick test_stream_filter_audio_style;
-          prop_stream_chunking_invariance;
+          Stream_props_int.test;
+          Stream_props_f32.test;
+          Stream_props_f64.test;
         ] );
     ]

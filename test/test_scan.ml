@@ -521,6 +521,42 @@ let test_stream_recovery () =
   done;
   check_ints "engine faults: outputs stay bitwise serial" expected out
 
+(* An engine fault only detects.  A faulted piece whose engine run passes
+   its check, like one that fails it, commits the clean [sparse] output:
+   over 200 fault seeds at piece 1, a one-domain F32 stream stays bitwise
+   [serial].  The coefficients are not integers, so the engine's
+   reassociated sums round differently from the chain's. *)
+let test_stream_engine_fault_clean () =
+  let n = 4096 in
+  let g = Splitmix.create 43 in
+  let draw lo hi =
+    Array.init (3 * n) (fun _ -> Plr_util.F32.round (Splitmix.float_in g ~lo ~hi))
+  in
+  let a = draw 0.5 1.0 in
+  let b = draw (-1.0) 1.0 in
+  let expected = Sc_f.serial a b in
+  let bad = ref [] in
+  for seed = 0 to 199 do
+    let t = Sc_f.Stream.create ~domains:1 () in
+    let out =
+      Array.concat
+        (List.init 3 (fun p ->
+             let fault =
+               if p = 1 then Some (Sc_f.Stream.Engine_fault seed) else None
+             in
+             Sc_f.Stream.process ?fault t (Array.sub a (p * n) n)
+               (Array.sub b (p * n) n)))
+    in
+    if
+      not
+        (Array.for_all2
+           (fun u v -> Int64.bits_of_float u = Int64.bits_of_float v)
+           expected out)
+    then bad := seed :: !bad
+  done;
+  Alcotest.(check (list int)) "seeds whose stream left serial" []
+    (List.rev !bad)
+
 (* -------------------------------------------------------------- serve *)
 
 module Serve_i = Plr_serve.Serve.Make (Scalar.Int)
@@ -772,6 +808,8 @@ let () =
           Alcotest.test_case "float skip is bitwise serial" `Quick
             test_stream_skip_float;
           Alcotest.test_case "checkpoint recovery" `Quick test_stream_recovery;
+          Alcotest.test_case "engine fault commits the clean output" `Quick
+            test_stream_engine_fault_clean;
         ] );
       ( "serve",
         [ Alcotest.test_case "submit_scan" `Quick test_serve_submit_scan ] );

@@ -460,11 +460,11 @@ let test_steal_vs_sticky_session () =
     (Metrics.Counter.get m.Metrics.session_migrations)
 
 (* A session is recovery wrapped around a [Multicore.Stream] with no
-   filter code of its own: over the serve-sessions shape (16 pieces of
-   4096) its outputs are the stream's bit for bit, and a steady piece
-   size compiles the factor plan once per session, not once per piece. *)
+   filter code of its own: its outputs are the stream's bit for bit. *)
 module Stream_f = Plr_multicore.Stream.Make (Scalar.F32)
 module Stream_i = Plr_multicore.Stream.Make (Scalar.Int)
+module Sf = Plr_serial.Serial.Make (Scalar.F32)
+module Sess_f = Plr_serve.Session.Make (Scalar.F32)
 
 let session_vs_stream (type a) ~(session : a array -> a array)
     ~(stream : a array -> a array) ~(bits : a -> int64) name pieces =
@@ -479,6 +479,23 @@ let session_vs_stream (type a) ~(session : a array -> a array)
         want)
     pieces
 
+let int_pieces g ~count ~len =
+  Array.init count (fun _ ->
+      Array.init len (fun _ -> Plr_util.Splitmix.int_in g ~lo:(-9) ~hi:9))
+
+let float_pieces g ~count ~len =
+  Array.map (Array.map float_of_int) (int_pieces g ~count ~len)
+
+let f32_sig (e : Table1.entry) = Signature.map Plr_util.F32.round e.Table1.signature
+
+(* The positions where two float arrays differ bitwise. *)
+let bit_diffs (want : float array) (got : float array) =
+  let d = ref 0 in
+  Array.iteri
+    (fun i v -> if Int64.bits_of_float v <> Int64.bits_of_float got.(i) then incr d)
+    want;
+  !d
+
 let test_session_matches_stream () =
   let server = Srv_f.create ~domains:2 () in
   let server_i = Srv_i.create ~domains:2 () in
@@ -488,71 +505,99 @@ let test_session_matches_stream () =
       Srv_i.shutdown server_i)
   @@ fun () ->
   let g = Plr_util.Splitmix.create 2026 in
-  let pieces n =
-    Array.init n (fun _ ->
-        Array.init 4096 (fun _ -> Plr_util.Splitmix.int_in g ~lo:(-9) ~hi:9))
-  in
-  let compiles () =
-    List.length
-      (List.filter
-         (fun e ->
-           e.Plr_trace.Trace.kind = Plr_trace.Trace.Begin
-           && e.Plr_trace.Trace.name = "factor.compile")
-         (Plr_trace.Trace.collect ()))
-  in
   List.iter
     (fun (e : Table1.entry) ->
-      if e != Table1.order2 && e != Table1.order3 then begin
-        let s = Signature.map Plr_util.F32.round e.Table1.signature in
-        let fl = Array.map (Array.map float_of_int) in
-        let session = Srv_f.session server s and stream = Stream_f.create ~domains:2 s in
-        session_vs_stream ~session:(Srv_f.Session.process session)
-          ~stream:(Stream_f.process stream) ~bits:Int64.bits_of_float
-          e.Table1.name (fl (pieces 16));
-        Plr_trace.Trace.reset ();
-        Plr_trace.Trace.set_enabled true;
-        let fresh = Srv_f.session server s in
-        Array.iter (fun x -> ignore (Srv_f.Session.process fresh x)) (fl (pieces 64));
-        Plr_trace.Trace.set_enabled false;
-        let n = compiles () in
-        if n > 1 then
-          Alcotest.failf "%s: %d factor compiles over 64 fixed-size pieces"
-            e.Table1.name n
-      end)
+      let s = f32_sig e in
+      session_vs_stream
+        ~session:(Srv_f.Session.process (Srv_f.session server s))
+        ~stream:(Stream_f.process (Stream_f.create ~domains:2 s))
+        ~bits:Int64.bits_of_float e.Table1.name
+        (float_pieces g ~count:16 ~len:4096))
     Table1.all;
   let s = int_sig [| 1 |] [| 2; -1 |] in
   session_vs_stream
     ~session:(Srv_i.Session.process (Srv_i.session server_i s))
     ~stream:(Stream_i.process (Stream_i.create ~domains:2 s))
-    ~bits:Int64.of_int "order2 (int)" (pieces 16)
+    ~bits:Int64.of_int "order2 (int)"
+    (int_pieces g ~count:16 ~len:4096)
 
-(* F32 outputs depend on the chunk boundaries, so recovery and migration
-   must chunk every replayed piece exactly as the original run did.  One
-   session is crashed back to its position-0 checkpoint (replay on a
-   stream that already holds a factor plan), migrated to a fresh stream
-   on another pool with a journal past a later checkpoint, corrupted,
-   and engine-faulted; its outputs must stay bitwise those of an
-   undisturbed session. *)
-module Sess_f = Plr_serve.Session.Make (Scalar.F32)
+(* The serve-sessions shape (one-domain shard pools, 64 pieces of 4096)
+   on every Table 1 F32 signature, order2 and order3 included: a session
+   is bitwise [Serial.full] over its inputs and compiles no factor
+   plan. *)
+let test_session_serial_table1 () =
+  let server = Srv_f.create ~domains:1 () in
+  Fun.protect ~finally:(fun () -> Srv_f.shutdown server) @@ fun () ->
+  let g = Plr_util.Splitmix.create 2027 in
+  List.iter
+    (fun (e : Table1.entry) ->
+      let s = f32_sig e in
+      let pieces = float_pieces g ~count:64 ~len:4096 in
+      let session = Srv_f.session server s in
+      Plr_trace.Trace.reset ();
+      Plr_trace.Trace.set_enabled true;
+      let got =
+        Fun.protect ~finally:(fun () -> Plr_trace.Trace.set_enabled false)
+          (fun () -> Array.map (Srv_f.Session.process session) pieces)
+      in
+      let compiles =
+        List.length
+          (List.filter
+             (fun ev -> ev.Plr_trace.Trace.name = "factor.compile")
+             (Plr_trace.Trace.collect ()))
+      in
+      Alcotest.(check int) (e.Table1.name ^ ": factor compiles") 0 compiles;
+      let want = Sf.full s (Array.concat (Array.to_list pieces)) in
+      let d = bit_diffs want (Array.concat (Array.to_list got)) in
+      if d > 0 then
+        Alcotest.failf "%s: %d of %d elements differ from Serial.full"
+          e.Table1.name d (Array.length want))
+    Table1.all
 
+(* An engine fault only detects.  A faulted piece whose engine run passes
+   its check, like one that fails it, commits the stream's clean output:
+   over 200 fault seeds at piece 1, a one-domain F32 lp2 session stays
+   bitwise its unfaulted twin. *)
+let test_session_engine_fault_clean () =
+  let pool = Pool.create ~domains:1 () in
+  Fun.protect ~finally:(fun () -> Pool.shutdown pool) @@ fun () ->
+  let s = f32_sig Table1.low_pass2 in
+  let pieces = float_pieces (Plr_util.Splitmix.create 37) ~count:3 ~len:4096 in
+  let twin = Sess_f.create ~pool s in
+  let want = Array.map (Sess_f.process twin) pieces in
+  let bad = ref [] in
+  for seed = 0 to 199 do
+    let session = Sess_f.create ~pool s in
+    Array.iteri
+      (fun p x ->
+        let fault = if p = 1 then Some (Plr_serve.Session.Engine_fault seed) else None in
+        if bit_diffs want.(p) (Sess_f.process ?fault session x) > 0 then
+          bad := seed :: !bad)
+      pieces
+  done;
+  Alcotest.(check (list int)) "seeds whose session left its twin" []
+    (List.sort_uniq compare !bad)
+
+(* Recovery, faults and migration leave a session's F32 outputs bitwise
+   those of an undisturbed session, whatever the pools' sizes.  One
+   session is crashed back to its position-0 checkpoint, migrated from a
+   one-domain pool to a two-domain one with a journal past a later
+   checkpoint, corrupted, and engine-faulted, over 65,536-element
+   pieces. *)
 let test_session_recover_migrate_f32 () =
-  let home = Pool.create ~domains:2 () and away = Pool.create ~domains:2 () in
+  let home = Pool.create ~domains:1 () and away = Pool.create ~domains:2 () in
   Fun.protect
     ~finally:(fun () ->
       Pool.shutdown home;
       Pool.shutdown away)
   @@ fun () ->
-  let g = Plr_util.Splitmix.create 31 in
-  let pieces =
-    Array.init 12 (fun _ ->
-        Array.init 4096 (fun _ ->
-            float_of_int (Plr_util.Splitmix.int_in g ~lo:(-9) ~hi:9)))
-  in
+  let len = 65536 in
+  let pieces = float_pieces (Plr_util.Splitmix.create 31) ~count:12 ~len in
   List.iter
     (fun (e : Table1.entry) ->
-      let s = Signature.map Plr_util.F32.round e.Table1.signature in
+      let s = f32_sig e in
       let plain = Sess_f.create ~pool:home s in
-      let moved = Sess_f.create ~pool:home ~checkpoint_every:(3 * 4096) s in
+      let moved = Sess_f.create ~pool:home ~checkpoint_every:(3 * len) s in
       Array.iteri
         (fun p x ->
           if p = 4 then Sess_f.migrate moved ~pool:away;
@@ -565,12 +610,10 @@ let test_session_recover_migrate_f32 () =
           in
           let want = Sess_f.process plain x
           and got = Sess_f.process ?fault moved x in
-          Array.iteri
-            (fun i v ->
-              if Int64.bits_of_float v <> Int64.bits_of_float got.(i) then
-                Alcotest.failf "%s: piece %d element %d differs after recovery"
-                  e.Table1.name p i)
-            want)
+          let d = bit_diffs want got in
+          if d > 0 then
+            Alcotest.failf "%s: piece %d: %d elements differ after recovery"
+              e.Table1.name p d)
         pieces;
       let st = Sess_f.stats moved in
       Alcotest.(check int) (e.Table1.name ^ ": migrated once") 1
@@ -720,6 +763,10 @@ let () =
             test_shard_metrics_sum;
           Alcotest.test_case "session output is the stream's" `Quick
             test_session_matches_stream;
+          Alcotest.test_case "Table 1 F32 sessions are bitwise Serial.full"
+            `Quick test_session_serial_table1;
+          Alcotest.test_case "engine fault commits the clean output" `Quick
+            test_session_engine_fault_clean;
           Alcotest.test_case "F32 session recovery and migration bitwise" `Quick
             test_session_recover_migrate_f32;
           Alcotest.test_case "affinity stable" `Quick

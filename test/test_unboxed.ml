@@ -118,8 +118,7 @@ module Sweep (S : Scalar.S) = struct
       expected
 
   (* Against the serial reference: exact for integers, the paper's 1e-3
-     bound for floats (the chunked backends and the stream's boundary
-     correction reorder float operations). *)
+     bound for floats (the chunked backends reorder float operations). *)
   let check_vs_serial ~what expected got =
     match S.kind with
     | Scalar.Integer -> check_bitwise ~what expected got
@@ -159,8 +158,8 @@ module Sweep (S : Scalar.S) = struct
               Buf.to_array dst ) ]
     | _ -> []
 
-  let stream_runner ~pool ~opts ~g s x =
-    let st = Stream.create ~pool ~opts s in
+  let stream_runner ~pool ~g s x =
+    let st = Stream.create ~pool s in
     let n = Array.length x in
     let out = ref [] in
     let pos = ref 0 in
@@ -198,8 +197,10 @@ module Sweep (S : Scalar.S) = struct
                 ( "multicore pool=1",
                   fun s x -> Multi.run ~opts ~pool:pool1 ~chunk_size ~window s x );
                 ( "multicore defaults",
-                  fun s x -> Multi.run ~opts ~pool s x );
-                ("stream", fun s x -> stream_runner ~pool ~opts ~g s x) ];
+                  fun s x -> Multi.run ~opts ~pool s x ) ];
+            (* a stream continues the serial recurrence: bitwise *)
+            check_bitwise ~what:(describe "stream") expected
+              (stream_runner ~pool ~g s x);
             (* one (chunk, window) schedule is deterministic: pool sizes
                may not change a single bit *)
             check_bitwise
@@ -241,8 +242,7 @@ let test_run_into_rejects_int () =
      schedule bit for bit, NaN payloads included;
    - sweeps: factor lists shaped to compile as every class (periodic and
      tabled 0/1, repeating, decayed, dense, all-equal).  The unboxed
-     sweep must equal the boxed [apply_list], and Stream's split sweep
-     (ranges with a [q0] offset) the whole one;
+     sweep must equal the boxed [apply_list];
    - binary32 rounding: a store into a {!Plr_util.F32.cell} and a load
      back, as the kernels round, equal the [Int32] round trip of
      {!Plr_util.F32.round} on any 64-bit pattern.
@@ -357,18 +357,11 @@ module Kernel_props (S : Scalar.S) = struct
           (Buf.to_array dst)
     | _ -> bitwise (Serial.full s c.x) (Multi.run ~pool ~chunk_size s c.x)
 
-  type sweep = {
-    shape : string;
-    raw : S.t array;
-    carry : S.t;
-    y : S.t array;
-    cuts : int list;
-  }
+  type sweep = { shape : string; raw : S.t array; carry : S.t; y : S.t array }
 
   let print_sweep c =
-    Printf.sprintf "{shape=%s; raw=%s; carry=%s; y=%s; cuts=[%s]}" c.shape
+    Printf.sprintf "{shape=%s; raw=%s; carry=%s; y=%s}" c.shape
       (show_array c.raw) (show c.carry) (show_array c.y)
-      (String.concat "; " (List.map string_of_int c.cuts))
 
   let gen_sweep =
     let open QCheck2.Gen in
@@ -393,26 +386,20 @@ module Kernel_props (S : Scalar.S) = struct
     in
     let m = Array.length raw in
     let* carry = value in
-    let* y = array_size (return m) value in
-    let+ cuts = list_size (int_range 0 4) (int_range 0 m) in
-    { shape; raw; carry; y; cuts }
+    let+ y = array_size (return m) value in
+    { shape; raw; carry; y }
 
-  (* The unboxed sweep of list 0 over [y.(lo .. hi-1)], factor offset [lo]. *)
-  let unboxed_sweep fp ~carry (y : S.t array) ranges : S.t array =
+  (* The unboxed sweep of list 0 over the whole of [y]. *)
+  let unboxed_sweep fp ~carry (y : S.t array) : S.t array =
+    let m = Array.length y in
     match S.rep with
     | Scalar.Float_rep _ ->
         let b = Buf.of_array y in
-        List.iter
-          (fun (lo, hi) ->
-            FP.apply_list_f ~q0:lo fp ~j:0 ~carry b ~base:lo ~len:(hi - lo))
-          ranges;
+        FP.apply_list_f fp ~j:0 ~carry b ~base:0 ~len:m;
         Buf.to_array b
     | Scalar.Int_rep ->
         let y = Array.copy y in
-        List.iter
-          (fun (lo, hi) ->
-            FP.apply_list_int ~q0:lo fp ~j:0 ~carry y ~base:lo ~len:(hi - lo))
-          ranges;
+        FP.apply_list_int fp ~j:0 ~carry y ~base:0 ~len:m;
         y
     | Scalar.Other_rep -> y
 
@@ -421,18 +408,8 @@ module Kernel_props (S : Scalar.S) = struct
     let fp = FP.compile ~max_period:64 [| c.raw |] in
     let boxed = Array.copy c.y in
     FP.apply_list fp ~j:0 ~carry:c.carry boxed ~base:0 ~len:m;
-    let whole = unboxed_sweep fp ~carry:c.carry c.y [ (0, m) ] in
-    let bounds = List.sort_uniq compare ((0 :: c.cuts) @ [ m ]) in
-    let rec pieces = function
-      | a :: (b :: _ as rest) -> (a, b) :: pieces rest
-      | _ -> []
-    in
-    let split = unboxed_sweep fp ~carry:c.carry c.y (pieces bounds) in
-    if not (bitwise boxed whole) then
+    if not (bitwise boxed (unboxed_sweep fp ~carry:c.carry c.y)) then
       QCheck2.Test.fail_reportf "%s sweep differs from the boxed apply_list"
-        (FP.describe fp 0);
-    if not (bitwise whole split) then
-      QCheck2.Test.fail_reportf "%s split sweep differs from the whole sweep"
         (FP.describe fp 0);
     true
 
@@ -447,7 +424,7 @@ module Kernel_props (S : Scalar.S) = struct
         ~name:(Printf.sprintf "%s solve = %s" scalar oracle)
         ~print:print_solve gen_solve solve_agrees;
       qcheck
-        ~name:(scalar ^ " sweep = boxed, split = whole")
+        ~name:(scalar ^ " sweep = boxed")
         ~print:print_sweep gen_sweep sweep_agrees ]
 end
 
