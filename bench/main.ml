@@ -8,9 +8,11 @@
      main.exe fig1 … fig10    — one figure
      main.exe tab2 tab3       — one table
      main.exe micro           — only the Bechamel wall-clock suite
-     main.exe csv [dir]       — every figure/table as CSV + BENCH_PLR.json
-     main.exe json [path]     — smoke perf suite -> BENCH_PLR.json
+     main.exe csv [dir]       — every figure/table as CSV
      main.exe trace-check     — disabled-tracing overhead budget (< 2%)
+
+   Performance claims about the CPU backends and the serving layer cite
+   the plrbench benchmark (benchmark/README.md), not this driver.
 *)
 
 module Spec = Plr_gpusim.Spec
@@ -57,14 +59,6 @@ let run_micro () =
   print_endline "=== micro: wall-clock Bechamel suite (OCaml implementations) ===";
   Plr_bench.Micro.run fmt
 
-(* The smoke perf suite, exported as BENCH_PLR.json so CI can archive one
-   comparable artifact per run. *)
-let run_json path =
-  let rows = Plr_bench.Perf.smoke () in
-  Plr_bench.Perf.render fmt rows;
-  Plr_bench.Perf.write_json ~path rows;
-  Printf.printf "wrote %s\n" path
-
 (* Disabled-tracing overhead budget: the Plr_trace instrumentation must
    cost the hot paths under 2% when the sink is off.  CI runs this
    non-fatally (|| true) so a noisy shared runner cannot block a merge. *)
@@ -93,8 +87,7 @@ let run_csv dir =
     (fun t -> write t.Series.tid (Series.table_to_csv t))
     [ Figures.fig10 spec; Tables.table2 spec; Tables.table3 spec;
       Ablation.cache_budget_sweep spec; Ablation.lookback_sweep spec;
-      Ablation.tuner_report spec; Ablation.cross_gpu () ];
-  run_json (Filename.concat dir "BENCH_PLR.json")
+      Ablation.tuner_report spec; Ablation.cross_gpu () ]
 
 let () =
   let args = Array.to_list Sys.argv |> List.tl in
@@ -104,8 +97,6 @@ let () =
       run_micro ()
   | [ "csv" ] -> run_csv "bench/out"
   | [ "csv"; dir ] -> run_csv dir
-  | [ "json" ] -> run_json "BENCH_PLR.json"
-  | [ "json"; path ] -> run_json path
   | [ "trace-check" ] -> run_trace_check ()
   | names ->
       List.iter

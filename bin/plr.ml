@@ -74,14 +74,6 @@ let require_positive name v =
 
 let require_positive_opt name = Option.iter (require_positive name)
 
-let require_positive_float name v =
-  if not (Float.is_finite v) || v <= 0.0 then
-    failwith (Printf.sprintf "%s must be positive (got %g)" name v)
-
-let require_non_negative_float name v =
-  if not (Float.is_finite v) || v < 0.0 then
-    failwith (Printf.sprintf "%s must be non-negative (got %g)" name v)
-
 (* ------------------------------------------------------------- compile *)
 
 module Emit_int = Plr_codegen.Emit.Make (Scalar.Int)
@@ -140,8 +132,8 @@ let time_wall f =
   let r = f () in
   (r, Unix.gettimeofday () -. t0)
 
-(* Named factor-specialization toggles, shared by `run` and `bench`.  The
-   names match the flags Opts.pp prints. *)
+(* Named factor-specialization toggles for `run`.  The names match the
+   flags Opts.pp prints. *)
 let opt_names = [ "shared-cache"; "all-equal"; "zero-one"; "repeat"; "ftz" ]
 
 let set_opt (o : Plr_core.Opts.t) name v =
@@ -336,22 +328,6 @@ let cmd_emit text target domain n =
     | t -> failwith (Printf.sprintf "unknown --target %S (expected c or cuda)" t)
   in
   print_string source
-
-(* --------------------------------------------------------------- bench *)
-
-let cmd_bench n reps domains json_path opts_off ons offs =
-  require_positive "-n" n;
-  require_positive "--reps" reps;
-  require_positive_opt "--domains" domains;
-  let opts = opts_of_flags ~opts_off ~ons ~offs in
-  Format.printf "opts: %a@." Plr_core.Opts.pp opts;
-  let rows = Plr_bench.Perf.smoke ~n ~reps ~opts ?domains () in
-  Plr_bench.Perf.render Format.std_formatter rows;
-  match json_path with
-  | None -> ()
-  | Some path ->
-      Plr_bench.Perf.write_json ~path rows;
-      Printf.printf "wrote %s\n" path
 
 (* ---------------------------------------------------------------- info *)
 
@@ -926,64 +902,10 @@ let cmd_scan n seed identity domain backend_s domains chunk window a_text
     (if ok then "PASSED" else "FAILED — diverged from serial");
   if not ok then exit 1
 
-(* --------------------------------------------------------- serve-bench *)
+(* --------------------------------------------------------------- trace *)
 
 module Serve = Plr_serve.Serve
 module Serve_f32 = Plr_serve.Serve.Make (Scalar.F32)
-module Load_f32 = Plr_serve.Load.Make (Scalar.F32)
-
-let cmd_serve_bench clients seconds zipf deadline_ms depth no_guard autotune
-    shards steal_threshold open_loop slo_ms domains seed json_path =
-  require_positive "--clients" clients;
-  require_positive "--depth" depth;
-  require_positive "--seed" seed;
-  require_positive "--shards" shards;
-  require_positive "--steal-threshold" steal_threshold;
-  require_positive_opt "--domains" domains;
-  require_positive_float "--seconds" seconds;
-  require_positive_float "--deadline-ms" deadline_ms;
-  require_positive_float "--slo" slo_ms;
-  Option.iter (require_positive_float "--open-loop") open_loop;
-  require_non_negative_float "--zipf" zipf;
-  let config =
-    {
-      Serve.default_config with
-      Serve.max_inflight = depth;
-      guard = not no_guard;
-      autotune;
-      shards;
-      steal_threshold;
-    }
-  in
-  let server = Serve_f32.create ~config ?domains () in
-  Fun.protect ~finally:(fun () -> Serve_f32.shutdown server) @@ fun () ->
-  (* The paper's Table 1 workload, all on the float32 pipeline (the
-     integer-domain entries have integral coefficients, which round
-     exactly). *)
-  let mix =
-    List.map
-      (fun e ->
-        ( e.Table1.name,
-          Signature.map Plr_util.F32.round e.Table1.signature ))
-      Table1.all
-  in
-  let r =
-    match open_loop with
-    | Some rps ->
-        Load_f32.run_open ~clients ~rps ~seconds ~zipf ~deadline_ms ~slo_ms
-          ~seed ~server mix
-    | None ->
-        Load_f32.run ~clients ~seconds ~zipf ~deadline_ms ~seed ~server mix
-  in
-  Plr_serve.Load.render Format.std_formatter r;
-  match json_path with
-  | None -> ()
-  | Some path ->
-      let meta = Plr_bench.Meta.to_json (Plr_bench.Meta.collect ()) in
-      Plr_serve.Load.write_json ~path ~meta r;
-      Printf.printf "wrote %s\n" path
-
-(* --------------------------------------------------------------- trace *)
 
 (* One end-to-end traced exercise of the whole stack: the modeled GPU
    engine (factors + engine spans), the multicore backend on the domain
@@ -1144,36 +1066,6 @@ let run_cmd =
       ret
         (const run $ signature_arg $ n_arg $ backend $ domain_arg $ domains_arg
         $ opts_off_arg $ opt_on_arg $ opt_off_arg $ trace_arg))
-
-let bench_cmd =
-  let n =
-    Arg.(value & opt int (1 lsl 18) & info [ "n" ] ~docv:"N"
-           ~doc:"Elements per suite.")
-  in
-  let reps =
-    Arg.(value & opt int 3 & info [ "reps" ] ~docv:"R"
-           ~doc:"Timed repetitions per variant (best and median reported).")
-  in
-  let json =
-    Arg.(value & opt (some string) None & info [ "json" ] ~docv:"FILE"
-           ~doc:"Also write the rows as machine-readable JSON to $(docv).")
-  in
-  let run n reps domains json opts_off ons offs trace_path =
-    wrap (fun () ->
-        with_trace trace_path (fun () ->
-            cmd_bench n reps domains json opts_off ons offs))
-  in
-  Cmd.v
-    (Cmd.info "bench"
-       ~doc:
-         "Smoke perf suite over the CPU backends: serial vs multicore vs \
-          stream on prefix-sum, order2, tuple2, and a decaying low-pass \
-          filter.  $(b,--opt)/$(b,--no-opt) select the factor \
-          specializations under test.")
-    Term.(
-      ret
-        (const run $ n $ reps $ domains_arg $ json $ opts_off_arg $ opt_on_arg
-        $ opt_off_arg $ trace_arg))
 
 let info_cmd =
   let run text n domain = wrap (fun () -> cmd_info text n domain) in
@@ -1373,96 +1265,6 @@ let at_cmd =
           without materializing the first N elements.")
     Term.(ret (const run $ signature_arg $ n_arg $ input $ domain_arg))
 
-let serve_bench_cmd =
-  let clients =
-    Arg.(value & opt int 4 & info [ "clients" ] ~docv:"C"
-           ~doc:"Closed-loop client domains generating load.")
-  in
-  let seconds =
-    Arg.(value & opt float 2.0 & info [ "seconds" ] ~docv:"S"
-           ~doc:"Wall-clock budget for the load loop.")
-  in
-  let zipf =
-    Arg.(value & opt float 1.1 & info [ "zipf" ] ~docv:"A"
-           ~doc:"Zipf popularity exponent over the Table 1 mix (0 = uniform).")
-  in
-  let deadline_ms =
-    Arg.(value & opt float 250.0 & info [ "deadline-ms" ] ~docv:"MS"
-           ~doc:"Per-request deadline in milliseconds.")
-  in
-  let depth =
-    Arg.(value & opt int 64 & info [ "depth" ] ~docv:"D"
-           ~doc:"Admission bound: concurrently admitted requests beyond \
-                 $(docv) are rejected as overloaded.")
-  in
-  let no_guard =
-    Arg.(value & flag & info [ "no-guard" ]
-           ~doc:"Run pooled requests without the stability guard.")
-  in
-  let autotune =
-    Arg.(value & flag & info [ "autotune" ]
-           ~doc:"Run a bounded measured tuning search on plan-cache misses \
-                 with no cached tuning; the winning schedule is persisted \
-                 in the tuning registry and reused by every later request \
-                 of the same shape.")
-  in
-  let shards =
-    Arg.(value & opt int 1 & info [ "shards" ] ~docv:"N"
-           ~doc:"Independent server shards (each with its own domain pool, \
-                 plan-cache partition, and queue); requests route to a home \
-                 shard by signature affinity, with bounded work stealing \
-                 between shards.  1 (the default) is the historical \
-                 single-pool server.")
-  in
-  let steal_threshold =
-    Arg.(value & opt int 2 & info [ "steal-threshold" ] ~docv:"K"
-           ~doc:"Home-shard queue depth at which a pooled request may be \
-                 stolen by an idler shard.  Irrelevant with one shard.")
-  in
-  let open_loop =
-    Arg.(value & opt (some float) None & info [ "open-loop" ] ~docv:"RPS"
-           ~doc:"Run an open-loop benchmark at $(docv) scheduled arrivals \
-                 per second instead of the closed loop: arrivals do not \
-                 wait for responses and latency is measured from each \
-                 request's intended arrival instant (the \
-                 coordinated-omission fix).")
-  in
-  let slo =
-    Arg.(value & opt float 50.0 & info [ "slo" ] ~docv:"MS"
-           ~doc:"Open-loop goodput SLO in milliseconds: completions within \
-                 $(docv) of their intended arrival count as goodput.")
-  in
-  let seed =
-    Arg.(value & opt int 7 & info [ "seed" ] ~docv:"S"
-           ~doc:"Base seed for the load generator's draws.")
-  in
-  let json =
-    Arg.(value & opt (some string) None & info [ "json" ] ~docv:"FILE"
-           ~doc:"Also write the report as machine-readable JSON to $(docv).")
-  in
-  let run clients seconds zipf deadline_ms depth no_guard autotune shards
-      steal_threshold open_loop slo domains seed json trace_path =
-    wrap (fun () ->
-        with_trace trace_path (fun () ->
-            cmd_serve_bench clients seconds zipf deadline_ms depth no_guard
-              autotune shards steal_threshold open_loop slo domains seed json))
-  in
-  Cmd.v
-    (Cmd.info "serve-bench"
-       ~doc:
-         "Load benchmark of the serving layer: clients draw Table 1 \
-          signatures with Zipf-skewed popularity and submit them through \
-          the sharded plan cache and guard, printing throughput, \
-          latency percentiles, and the full metrics snapshot.  Closed-loop \
-          by default; $(b,--open-loop) switches to a fixed arrival \
-          schedule with goodput-under-SLO reporting, and $(b,--shards) \
-          runs the signature-affinity sharded server.")
-    Term.(
-      ret
-        (const run $ clients $ seconds $ zipf $ deadline_ms $ depth $ no_guard
-        $ autotune $ shards $ steal_threshold $ open_loop $ slo
-        $ domains_arg $ seed $ json $ trace_arg))
-
 let scan_cmd =
   let n =
     Arg.(value & opt int (1 lsl 20) & info [ "n" ] ~docv:"N"
@@ -1544,6 +1346,5 @@ let () =
   exit
     (Cmd.eval ~term_err:2
        (Cmd.group (Cmd.info "plr" ~doc)
-          [ compile_cmd; emit_cmd; run_cmd; scan_cmd; bench_cmd; info_cmd;
-            tune_cmd; execute_cmd; check_cmd; chaos_cmd; at_cmd;
-            serve_bench_cmd; trace_cmd ]))
+          [ compile_cmd; emit_cmd; run_cmd; scan_cmd; info_cmd; tune_cmd;
+            execute_cmd; check_cmd; chaos_cmd; at_cmd; trace_cmd ]))

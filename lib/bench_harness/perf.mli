@@ -1,79 +1,4 @@
-(** Cheap wall-clock smoke benchmarks over the real backends (serial,
-    multicore, stream), with a machine-readable JSON export.
-
-    This is the suite CI runs on every push (as opposed to the Bechamel
-    {!Micro} suite, which is slower and statistically careful).  The four
-    constant-coefficient suites each exercise one specialization of the
-    shared {!Plr_factors.Factor_plan}: prefix-sum (all-equal), order2
-    (dense/periodic), tuple2 (0/1 conditional add), and lp2 (decaying
-    float filter, where the zero-tail skip pays off).  Two further suites
-    cover the time-varying subsystem ({!Plr_scan.Scan}): "scan" on a
-    dense coefficient stream and "scan-sparse" on a 90%-identity one,
-    whose "sparse" row is the run-length fast path's headline number. *)
-
-type row = {
-  suite : string;
-      (** "prefix-sum", "order2", "tuple2", "lp2", "scan", "scan-sparse" *)
-  variant : string;
-      (** "serial", "multicore", "multicore-noopt", "multicore-tuned",
-          "stream", "jit"; the scan suites add "sparse" (run-length fast
-          path over a precompiled {!Plr_scan.Scan.Make.Runs} plan) *)
-  n : int;
-  domains : int;  (** pool size used by this variant (1 for "serial") *)
-  chunk_size : int;
-      (** chunk size the variant ran with (0 = not applicable: serial
-          has no chunking, stream re-chooses per piece) *)
-  window : int;  (** look-back window (0 = not applicable) *)
-  ns_per_elem : float;  (** best of the timed reps *)
-  median_ns_per_elem : float;  (** median of the timed reps *)
-  speedup_vs_serial : float;  (** > 1 means faster than the serial code *)
-}
-
-val time_stats : int -> (unit -> 'a) -> float * float
-(** [(best, median)] wall-clock seconds over [reps] runs of the thunk
-    (no warm-up; callers that need one should discard a first call). *)
-
-val time_best : int -> (unit -> 'a) -> float
-(** [fst (time_stats reps f)]. *)
-
-val smoke :
-  ?n:int -> ?reps:int -> ?opts:Plr_factors.Opts.t -> ?domains:int -> unit ->
-  row list
-(** Run every (suite, variant) pair on [n] elements (default 2^18),
-    keeping the best and median of [reps] (default 3) timed runs after one
-    warm-up.  [domains] sizes the persistent pool the parallel variants
-    share (default [Domain.recommended_domain_count ()]).  [opts] (default
-    {!Plr_factors.Opts.all_on}) is applied to the "multicore" and "stream"
-    variants; "multicore-noopt" always runs with
-    {!Plr_factors.Opts.all_off} so the delta is visible in one report.
-    "multicore-tuned" first runs a small measured
-    {!Plr_core.Tune.Cpu.search} (budget 8) for the suite's signature and
-    times the winner, so the tuned-vs-heuristic delta is visible in the
-    same report.  "jit" compiles the suite's per-signature native kernel
-    up front ({!Plr_jit.Backend}) and times the verified function-pointer
-    call; when the JIT is disabled, the toolchain is missing, or the
-    build fails, the row is skipped with a notice on stderr. *)
-
-val render : Format.formatter -> row list -> unit
-(** Human-readable table. *)
-
-val to_json : ?meta:string -> row list -> string
-(** The BENCH_PLR.json payload: [{"schema": "plr-bench-6", "meta": {...},
-    "recommended_domains": d, "rows": [...]}].  plr-bench-4 added the
-    per-row [chunk_size]/[window] schedule knobs; plr-bench-5 added the
-    [jit] variant rows (present only when a C toolchain compiled and
-    verified the native kernel); plr-bench-6 adds the time-varying
-    "scan"/"scan-sparse" suites.  [meta] is a pre-rendered JSON object;
-    by default {!Meta.collect} supplies one.  Consumers that only read
-    [.rows] (e.g. [tools/bench_compare.sh]) accept plr-bench-2 through
-    plr-bench-6 files — older files simply have no scan rows, and the
-    comparison degrades to a notice. *)
-
-val write_json : path:string -> ?meta:string -> row list -> unit
-(** {!to_json} written atomically (temp file + rename): a crashed run
-    cannot leave a truncated [BENCH_PLR.json] behind. *)
-
-(** {1 Tracing overhead}
+(** Tracing overhead: the check behind [bench/main.exe trace-check].
 
     The acceptance budget for the {!Plr_trace.Trace} instrumentation is
     that a {e disabled} sink costs the Table-1 suites under 2%.  The

@@ -29,7 +29,7 @@ type cpu_tuning = {
 type cpu_source = Cached | Searched | Heuristic
 (** Where an applied tuning came from: the {!Registry}, a fresh measured
     search, or the backend's built-in heuristics (the fallback when
-    autotuning is off or nothing is cached). *)
+    nothing is cached). *)
 
 val cpu_source_to_string : cpu_source -> string
 (** ["cached"], ["searched"], or ["heuristic-fallback"]. *)

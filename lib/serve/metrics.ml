@@ -115,7 +115,6 @@ type t = {
   breaker_shorted : Counter.t;
   plan_hits : Counter.t;
   plan_misses : Counter.t;
-  tune_searched : Counter.t;
   tune_cached : Counter.t;
   tune_heuristic : Counter.t;
   jit_used : Counter.t;
@@ -152,7 +151,6 @@ let create () =
     breaker_shorted = Counter.create ();
     plan_hits = Counter.create ();
     plan_misses = Counter.create ();
-    tune_searched = Counter.create ();
     tune_cached = Counter.create ();
     tune_heuristic = Counter.create ();
     jit_used = Counter.create ();
@@ -190,7 +188,6 @@ let snapshot_json ?tuning ?shards t =
       counter "breaker_shorted" t.breaker_shorted;
       counter "plan_cache_hits" t.plan_hits;
       counter "plan_cache_misses" t.plan_misses;
-      counter "tune_searched" t.tune_searched;
       counter "tune_cached" t.tune_cached;
       counter "tune_heuristic" t.tune_heuristic;
       counter "jit_used" t.jit_used;

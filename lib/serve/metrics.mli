@@ -62,8 +62,6 @@ type t = {
           breaker *)
   plan_hits : Counter.t;      (** plan-cache lookups served from cache *)
   plan_misses : Counter.t;    (** lookups that compiled a fresh plan *)
-  tune_searched : Counter.t;
-      (** plan compiles that ran a measured autotuner search *)
   tune_cached : Counter.t;
       (** plan compiles that reused a tuning from the registry *)
   tune_heuristic : Counter.t;
@@ -110,9 +108,9 @@ val snapshot_json : ?tuning:string -> ?shards:string -> t -> string
     queue depth, steals in/out, migrations, affinity hit rate — see
     {!Serve.Make.shard_stats}) echoed as a ["shards"] field.  [tuning]
     (when non-empty) is echoed as a ["tuning"] field: the active
-    schedule tuning and its source (cached | searched |
-    heuristic-fallback), so serve-bench snapshots are attributable to
-    the configuration that produced them.  When the
+    schedule tuning and its source (cached | heuristic-fallback), so a
+    snapshot is attributable to the configuration that produced it.
+    When the
     {!Plr_trace.Trace} sink is enabled the snapshot also carries a
     ["trace"] block: total recorded events, events dropped to full
     rings, and the top spans by inclusive time as produced by

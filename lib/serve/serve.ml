@@ -33,8 +33,6 @@ type config = {
   retry_backoff : float;
   breaker_threshold : int;
   breaker_cooldown : float;
-  autotune : bool;
-  tune_budget : int;
   shards : int;
   steal_threshold : int;
 }
@@ -52,8 +50,6 @@ let default_config =
     retry_backoff = 1e-3;
     breaker_threshold = 4;
     breaker_cooldown = 5e-2;
-    autotune = false;
-    tune_budget = 8;
     shards = 1;
     steal_threshold = 2;
   }
@@ -309,32 +305,24 @@ module Make (S : Plr_util.Scalar.S) = struct
     let cfg = t.config in
     let k = Signature.order s in
     let stability = Stability.analyze (Signature.map S.to_float s) in
-    (* The schedule tuning: a registry hit (or, with [autotune], a
-       bounded measured search whose winner lands in the registry) —
-       otherwise the serving defaults.  The counters and the snapshot's
-       attribution line record which one this entry got. *)
-    let tuning, tuning_source =
-      if cfg.autotune then
-        TC.get_or_search ~opts:cfg.opts ~budget:cfg.tune_budget ~pool:sh.spool
-          ~n s
-      else
-        match Tune.Registry.find (TC.key ~n s) with
-        | Some tu -> (tu, Tune.Cached)
-        | None ->
-            ( {
-                Tune.chunk_size = cfg.chunk_size;
-                domains = Pool.size sh.spool;
-                window =
-                  Plr_multicore.Multicore.default_window
-                    ~pool_size:(Pool.size sh.spool);
-              },
-              Tune.Heuristic )
+    (* The schedule tuning: a registry hit, otherwise the serving
+       defaults.  The counters and the snapshot's attribution line record
+       which one this entry got. *)
+    let tuning, tuning_source, counter =
+      match Tune.Registry.find (TC.key ~n s) with
+      | Some tu -> (tu, Tune.Cached, t.metrics.Metrics.tune_cached)
+      | None ->
+          ( {
+              Tune.chunk_size = cfg.chunk_size;
+              domains = Pool.size sh.spool;
+              window =
+                Plr_multicore.Multicore.default_window
+                  ~pool_size:(Pool.size sh.spool);
+            },
+            Tune.Heuristic,
+            t.metrics.Metrics.tune_heuristic )
     in
-    Metrics.Counter.incr
-      (match tuning_source with
-      | Tune.Searched -> t.metrics.Metrics.tune_searched
-      | Tune.Cached -> t.metrics.Metrics.tune_cached
-      | Tune.Heuristic -> t.metrics.Metrics.tune_heuristic);
+    Metrics.Counter.incr counter;
     Atomic.set t.last_tuning
       (Printf.sprintf "%s (%s)"
          (Tune.cpu_tuning_to_string tuning)

@@ -101,16 +101,6 @@ type config = {
   breaker_cooldown : float;
       (** seconds an open breaker short-circuits to the serial backend
           before admitting a half-open probe (default 50 ms) *)
-  autotune : bool;
-      (** run a bounded measured {!Plr_core.Tune.Cpu} search on a
-          plan-cache miss with no cached tuning, persisting the winner
-          in the process-wide {!Plr_core.Tune.Registry}; off by default
-          (the heuristics — or a previously cached tuning — are used
-          instead).  Tunings only reshape the schedule, never the
-          computed values. *)
-  tune_budget : int;
-      (** candidate configurations an autotune search may measure
-          (default 8) *)
   shards : int;
       (** independent shards (pool + plan-cache partition + queue) the
           server runs; 1 (the default) shares the registry pool and
@@ -138,8 +128,8 @@ module Make (S : Plr_util.Scalar.S) : sig
             domain — the cached backend choice ([max_int] when the
             stability verdict predicts the parallel path is doomed) *)
     tuning : Plr_core.Tune.cpu_tuning;
-        (** the schedule knobs pooled execution uses: a cached or
-            freshly searched measured tuning, else the serving
+        (** the schedule knobs pooled execution uses: a measured
+            tuning cached in {!Plr_core.Tune.Registry}, else the serving
             defaults *)
     tuning_source : Plr_core.Tune.cpu_source;
     jit : Plr_jit.Backend.Make(S).t option;

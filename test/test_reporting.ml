@@ -98,45 +98,6 @@ let test_specialization_summary_text () =
   | [ line ] -> check_bool "mentions constant folding" true (contains line "constant")
   | _ -> Alcotest.fail "expected one line per factor list"
 
-(* The bench JSON export must commit atomically (temp + rename) and emit
-   parseable JSON: CI archives the file and the comparison script reads
-   it back, so a truncated or malformed export would poison baselines. *)
-let test_perf_write_json () =
-  let module Perf = Plr_bench.Perf in
-  let dir =
-    Filename.concat (Filename.get_temp_dir_name ())
-      (Printf.sprintf "plr_bench_json_%d" (Unix.getpid ()))
-  in
-  (try Unix.mkdir dir 0o700 with Unix.Unix_error (Unix.EEXIST, _, _) -> ());
-  let path = Filename.concat dir "BENCH_PLR.json" in
-  let row variant speedup =
-    { Perf.suite = "lp2"; variant; n = 1 lsl 18; domains = 4;
-      chunk_size = 4096; window = 8;
-      ns_per_elem = 10.0; median_ns_per_elem = 11.0;
-      speedup_vs_serial = speedup }
-  in
-  Perf.write_json ~path [ row "serial" 1.0; row "multicore" 3.5 ];
-  let ic = open_in_bin path in
-  let doc = really_input_string ic (in_channel_length ic) in
-  close_in ic;
-  (match Plr_trace.Json.parse doc with
-  | Error e -> Alcotest.fail ("BENCH_PLR.json does not parse: " ^ e)
-  | Ok j ->
-      (match Plr_trace.Json.member "schema" j with
-      | Some s ->
-          check_bool "schema tag" true
-            (Plr_trace.Json.str s = Some "plr-bench-6")
-      | None -> Alcotest.fail "missing schema field");
-      (match Plr_trace.Json.member "rows" j with
-      | Some rows ->
-          Alcotest.(check int) "both rows exported" 2
-            (List.length (Plr_trace.Json.to_list rows))
-      | None -> Alcotest.fail "missing rows field"));
-  (* the temp+rename protocol leaves nothing but the committed file *)
-  Alcotest.(check int) "no temp leftovers" 1 (Array.length (Sys.readdir dir));
-  Sys.remove path;
-  Unix.rmdir dir
-
 let () =
   Alcotest.run "plr_reporting"
     [
@@ -156,6 +117,5 @@ let () =
           Alcotest.test_case "table csv" `Quick test_table_csv;
           Alcotest.test_case "specialization summary" `Quick
             test_specialization_summary_text;
-          Alcotest.test_case "bench json export" `Quick test_perf_write_json;
         ] );
     ]

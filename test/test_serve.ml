@@ -9,12 +9,10 @@ module Pool = Plr_exec.Pool
 module Serve = Plr_serve.Serve
 module Plan_cache = Plr_serve.Plan_cache
 module Metrics = Plr_serve.Metrics
-module Load = Plr_serve.Load
 module Chaos = Plr_robust.Chaos
 
 module Srv_i = Serve.Make (Scalar.Int)
 module Srv_f = Serve.Make (Scalar.F32)
-module Load_i = Load.Make (Scalar.Int)
 module Si = Plr_serial.Serial.Make (Scalar.Int)
 module Chaos_i = Chaos.Make (Scalar.Int)
 
@@ -242,86 +240,6 @@ let test_chaos_alongside_traffic () =
   Alcotest.(check int) "no silent divergence in chaos trials" 0
     summary.Chaos.silent;
   Alcotest.(check int) "no divergent responses" 0 !bad
-
-(* ----------------------------------------------------- load generator *)
-
-let test_zipf_weights () =
-  let w = Load.zipf_weights ~s:1.0 4 in
-  Alcotest.(check (float 1e-9)) "rank 0" 1.0 w.(0);
-  Alcotest.(check (float 1e-9)) "rank 3" 0.25 w.(3);
-  let u = Load.zipf_weights ~s:0.0 3 in
-  Array.iter (fun x -> Alcotest.(check (float 1e-9)) "uniform" 1.0 x) u
-
-let test_load_loop () =
-  let server = Srv_i.create ~domains:2 () in
-  let r =
-    Load_i.run ~clients:2 ~seconds:0.3 ~sizes:[| 128; 1024 |] ~seed:3 ~server
-      [ ("ps", int_sig [| 1 |] [| 1 |]); ("order2", int_sig [| 1 |] [| 2; -1 |]) ]
-  in
-  if r.Load.requests <= 0 then Alcotest.fail "load loop made no requests";
-  Alcotest.(check int) "every request accounted" r.Load.requests
-    (r.Load.ok + r.Load.rejected + r.Load.deadline_missed + r.Load.failed);
-  Alcotest.(check int) "no failures" 0 r.Load.failed;
-  Alcotest.(check string) "closed mode" "closed" r.Load.mode;
-  Alcotest.(check int) "closed-loop goodput = completions" r.Load.ok
-    r.Load.under_slo;
-  let json = Load.to_json ~meta:{|{ "git": "test" }|} r in
-  List.iter
-    (fun needle ->
-      if not (contains ~needle json) then
-        Alcotest.failf "JSON missing %s" needle)
-    [ {|"schema": "plr-serve-bench-2"|}; {|"meta"|}; {|"p99_ms"|};
-      {|"metrics"|}; {|"mode": "closed"|}; {|"slo_ms": null|};
-      {|"goodput_rps"|}; {|"shards": 1|} ]
-
-(* The open-loop schedule is a pure function of its arguments: the same
-   seed must replay the identical workload (that is what makes paired
-   A/B serving runs comparable), and a different seed must not. *)
-let test_open_schedule_determinism () =
-  let mk seed =
-    Load.open_schedule ~seed ~rps:400.0 ~seconds:1.5 ~nsig:5 ~nsizes:3
-      ~zipf:1.1 ()
-  in
-  let a = mk 42 and b = mk 42 and c = mk 43 in
-  Alcotest.(check int) "length = round(rps*seconds)" 600 (Array.length a);
-  Alcotest.(check bool) "same seed, identical schedule" true (a = b);
-  Alcotest.(check bool) "different seed, different draws" true (a <> c);
-  (* Arrival instants are the fixed grid i/rps regardless of seed. *)
-  Array.iteri
-    (fun i (off, si, sz) ->
-      Alcotest.(check (float 1e-9)) "offset" (float_of_int i /. 400.0) off;
-      if si < 0 || si >= 5 then Alcotest.failf "signature index %d" si;
-      if sz < 0 || sz >= 3 then Alcotest.failf "size index %d" sz)
-    c;
-  (match Load.open_schedule ~seed:1 ~rps:0.0 ~seconds:1.0 ~nsig:1 ~nsizes:1
-           ~zipf:1.0 () with
-  | exception Invalid_argument _ -> ()
-  | _ -> Alcotest.fail "rps = 0 must be rejected")
-
-let test_open_loop () =
-  let server = Srv_i.create ~domains:2 () in
-  let r =
-    Load_i.run_open ~clients:2 ~rps:300.0 ~seconds:0.4 ~sizes:[| 128; 1024 |]
-      ~seed:3 ~server
-      [ ("ps", int_sig [| 1 |] [| 1 |]); ("order2", int_sig [| 1 |] [| 2; -1 |]) ]
-  in
-  (* Open loop: the request count is the schedule's, not the server's —
-     every scheduled arrival is submitted even if the server is slow. *)
-  Alcotest.(check int) "every scheduled arrival submitted" 120 r.Load.requests;
-  Alcotest.(check string) "open mode" "open" r.Load.mode;
-  Alcotest.(check int) "every request accounted" r.Load.requests
-    (r.Load.ok + r.Load.rejected + r.Load.deadline_missed + r.Load.failed);
-  Alcotest.(check int) "no failures" 0 r.Load.failed;
-  Alcotest.(check (float 1e-9)) "offered rate echoed" 300.0 r.Load.offered_rps;
-  if r.Load.under_slo > r.Load.ok then
-    Alcotest.fail "goodput cannot exceed completions";
-  let json = Load.to_json r in
-  List.iter
-    (fun needle ->
-      if not (contains ~needle json) then
-        Alcotest.failf "JSON missing %s" needle)
-    [ {|"mode": "open"|}; {|"offered_rps": 300|}; {|"slo_ms": 50|};
-      {|"under_slo"|}; {|"goodput_rps"|} ]
 
 (* ------------------------------------------------------------ metrics *)
 
@@ -714,20 +632,10 @@ let test_cli_flag_errors () =
     check_exit2 "unwritable output"
       (plr_exe ^ " compile '(1: 2, -1)' -o /nonexistent/dir/x.cu");
     check_exit2 "bad sched" (plr_exe ^ " execute '(1: 1)' -n 64 --sched bogus");
-    check_exit2 "serve-bench bad clients" (plr_exe ^ " serve-bench --clients -1");
-    check_exit2 "serve-bench bad zipf" (plr_exe ^ " serve-bench --zipf=-1");
-    check_exit2 "serve-bench bad deadline"
-      (plr_exe ^ " serve-bench --deadline-ms 0");
-    check_exit2 "serve-bench bad shards" (plr_exe ^ " serve-bench --shards 0");
-    check_exit2 "serve-bench bad steal threshold"
-      (plr_exe ^ " serve-bench --steal-threshold 0");
-    check_exit2 "serve-bench bad open-loop rate"
-      (plr_exe ^ " serve-bench --open-loop 0");
-    check_exit2 "serve-bench bad slo" (plr_exe ^ " serve-bench --slo 0");
     (* Type-level parse errors never reach our code: cmdliner reports
        them itself with its documented CLI-error status. *)
     let code =
-      Sys.command (plr_exe ^ " serve-bench --clients notanint >/dev/null 2>&1")
+      Sys.command (plr_exe ^ " run '(1: 1)' -n notanint >/dev/null 2>&1")
     in
     Alcotest.(check int) "unparsable flag uses cmdliner's CLI-error status"
       124 code
@@ -750,12 +658,6 @@ let () =
       ( "chaos",
         [ Alcotest.test_case "alongside traffic" `Quick
             test_chaos_alongside_traffic ] );
-      ( "load",
-        [ Alcotest.test_case "zipf weights" `Quick test_zipf_weights;
-          Alcotest.test_case "closed loop" `Quick test_load_loop;
-          Alcotest.test_case "open schedule determinism" `Quick
-            test_open_schedule_determinism;
-          Alcotest.test_case "open loop" `Quick test_open_loop ] );
       ( "shards",
         [ Alcotest.test_case "steal vs sticky session" `Quick
             test_steal_vs_sticky_session;
