@@ -22,10 +22,15 @@
      chunk size.
 
    Float arithmetic is emitted against IEEE binary64 with one explicit
-   [(double)(float)] rounding step per operation for the F32 emulation;
-   native ints are 63-bit, so integer kernels accumulate modulo 2^64 (in
-   uint64_t, where wrap-around is defined) and renormalize to 63 bits at
-   each store — congruent mod 2^63, hence bit-equal to OCaml. *)
+   [(double)(float)] rounding step per operation for the F32 emulation,
+   except on [plr_jit_run]'s F32 feedback chain in the steady state:
+   there the accumulator and the k previous outputs are C [float]s, since
+   for binary32 operands a binary64 +, − or × rounded to binary32 is the
+   binary32 operation (53 ≥ 2·24 + 2).  A feedback coefficient that is
+   not binary32 keeps its emulated product.  Native ints are 63-bit, so
+   integer kernels accumulate modulo 2^64 (in uint64_t, where wrap-around
+   is defined) and renormalize to 63 bits at each store — congruent mod
+   2^63, hence bit-equal to OCaml. *)
 
 module Make (S : Plr_util.Scalar.S) = struct
   module P = Plr_core.Plan.Make (S)
@@ -78,7 +83,8 @@ module Make (S : Plr_util.Scalar.S) = struct
   let plain_srcx t = Printf.sprintf "x[i - %d]" t
   let plain_srcy j = Printf.sprintf "y[i - %d]" j
 
-  let emit_terms b ~s ~guard_tap ~guard_fb ~srcx ~srcy =
+  let emit_terms ?(with_feedback = true) b ~s ~guard_tap ~guard_fb ~srcx
+      ~srcy =
     let pf fmt = Printf.ksprintf (Buffer.add_string b) fmt in
     let forward = s.Signature.forward and feedback = s.Signature.feedback in
     let term coeff src =
@@ -111,13 +117,36 @@ module Make (S : Plr_util.Scalar.S) = struct
         | None -> ()
         | Some body -> pf "      %s%s\n" (guard_tap t) body)
       forward;
+    if with_feedback then
+      Array.iteri
+        (fun j0 c ->
+          let j = j0 + 1 in
+          match term c (srcy j) with
+          | None -> ()
+          | Some body -> pf "      %s%s\n" (guard_fb j) body)
+        feedback
+
+  (* The F32 feedback chain in binary32: [f] holds the FIR sum, [r1..rk]
+     the previous outputs.  A binary32 coefficient multiplies as a float
+     literal; any other rounds its binary64 product to binary32 exactly as
+     the emulation does. *)
+  let emit_f32_chain b ~s =
+    let pf fmt = Printf.ksprintf (Buffer.add_string b) fmt in
+    let feedback = s.Signature.feedback in
+    let k = Array.length feedback in
+    pf "      float f = (float)a;\n";
     Array.iteri
       (fun j0 c ->
-        let j = j0 + 1 in
-        match term c (srcy j) with
-        | None -> ()
-        | Some body -> pf "      %s%s\n" (guard_fb j) body)
-      feedback
+        let c = S.to_float c and r = Printf.sprintf "r%d" (j0 + 1) in
+        if c = 1.0 then pf "      f = f + %s;\n" r
+        else if Float.is_finite c && Plr_util.F32.round c = c then
+          pf "      f = f + %sf * %s;\n" (flit c) r
+        else pf "      f = f + (float)(%s * (double)%s);\n" (flit c) r)
+      feedback;
+    for j = k downto 2 do
+      pf "      r%d = r%d;\n" j (j - 1)
+    done;
+    pf "      r1 = f;\n      y[i] = (double)f;\n"
 
   let acc_decl = if is_int then "uint64_t a = 0;" else "double a = 0.0;"
   let store = if is_int then "plr_norm(a)" else "a"
@@ -283,6 +312,7 @@ module Make (S : Plr_util.Scalar.S) = struct
     pf "\n";
     (* ---- the dispatched serial-order kernel ---- *)
     let prologue = max (taps - 1) k in
+    let native = is_f32 && k > 0 in
     let serial_body ~srcx ~srcy ~st =
       pf "  int64_t i = 0;\n";
       pf "  int64_t pro = n < %d ? n : %d;\n" prologue prologue;
@@ -294,17 +324,27 @@ module Make (S : Plr_util.Scalar.S) = struct
         ~guard_fb:(fun j -> Printf.sprintf "if (i >= %d) " j);
       pf "      y[i] = %s;\n" st;
       pf "  }\n";
+      if native then begin
+        let regs = List.init k (fun j -> Printf.sprintf "r%d" (j + 1)) in
+        pf "  float %s;\n"
+          (String.concat ", " (List.map (fun r -> r ^ " = 0.0f") regs));
+        pf "  if (i < n) {\n";
+        List.iteri (fun j r -> pf "    %s = (float)y[i - %d];\n" r (j + 1)) regs;
+        pf "  }\n"
+      end;
       pf "  for (; i < n; i++) {\n";
       pf "      %s\n" acc_decl;
-      emit_terms b ~s ~srcx ~srcy ~guard_tap:(fun _ -> "")
-        ~guard_fb:(fun _ -> "");
-      pf "      y[i] = %s;\n" st;
+      emit_terms b ~s ~srcx ~srcy ~with_feedback:(not native)
+        ~guard_tap:(fun _ -> "") ~guard_fb:(fun _ -> "");
+      if native then emit_f32_chain b ~s else pf "      y[i] = %s;\n" st;
       pf "  }\n}\n\n"
     in
     pf "/* Serial-order fused kernel: identical operation sequence to the\n";
     pf "   OCaml serial reference, coefficients baked in, monomorphic over\n";
     pf "   restrict pointers.  The first %d elements carry bounds guards;\n" prologue;
-    pf "   the steady-state loop is guard-free. */\n";
+    pf "   the steady-state loop is guard-free%s. */\n"
+      (if native then ",\n   and its feedback chain runs in binary32 registers"
+       else "");
     pf "void plr_jit_run(const %s* restrict x, %s* restrict y, int64_t n) {\n"
       ctype ctype;
     serial_body ~srcx:plain_srcx ~srcy:plain_srcy ~st:store;

@@ -38,6 +38,30 @@ let violation_to_string = function
       Printf.sprintf "stability analysis predicts factor overflow at index %d"
         index
 
+(* The guard's float loops, typed [float array] so that no element is
+   boxed: the first non-finite index, a prefix staged for
+   [Serial.full_into], and the first index from [i] on where the output
+   leaves the reference by more than [tol] (or is NaN there). *)
+let first_non_finite (a : float array) =
+  let n = Array.length a and i = ref 0 in
+  while !i < n && Float.is_finite (Array.unsafe_get a !i) do
+    incr i
+  done;
+  if !i < n then Some !i else None
+
+let stage (x : float array) p =
+  let b = Plr_util.Buf.create p in
+  for i = 0 to p - 1 do
+    Bigarray.Array1.unsafe_set b i x.(i)
+  done;
+  b
+
+let rec past_tol ~tol (r : Plr_util.Buf.t) (out : float array) i =
+  if i = Bigarray.Array1.dim r
+     || not (Float.abs (Bigarray.Array1.unsafe_get r i -. out.(i)) <= tol)
+  then i
+  else past_tol ~tol r out (i + 1)
+
 module Make (S : Plr_util.Scalar.S) = struct
   module Engine = Plr_core.Engine.Make (S)
   module Multicore = Plr_multicore.Multicore.Make (S)
@@ -58,24 +82,27 @@ module Make (S : Plr_util.Scalar.S) = struct
 
   let floating = S.kind = Plr_util.Scalar.Floating
 
-  let scan_non_finite out =
-    if not floating then None
-    else begin
-      let bad = ref None in
-      (try
-         Array.iteri
-           (fun i v ->
-             if not (Float.is_finite (S.to_float v)) then begin
-               bad := Some i;
-               raise Exit
-             end)
-           out
-       with Exit -> ());
-      !bad
-    end
+  let scan_non_finite (out : S.t array) =
+    match S.rep with
+    | Plr_util.Scalar.Float_rep _ -> first_non_finite out
+    | _ ->
+        if not floating then None
+        else begin
+          let bad = ref None in
+          (try
+             Array.iteri
+               (fun i v ->
+                 if not (Float.is_finite (S.to_float v)) then begin
+                   bad := Some i;
+                   raise Exit
+                 end)
+               out
+           with Exit -> ());
+          !bad
+        end
 
   let run ?(tol = 1e-3) ?(check = Prefix 4096) ?probe ?stability runner
-      (s : S.t Signature.t) x =
+      (s : S.t Signature.t) (x : S.t array) =
     let n = Array.length x in
     let stability =
       (* The serving layer caches the report per signature and passes it
@@ -86,38 +113,50 @@ module Make (S : Plr_util.Scalar.S) = struct
       | None -> Stability.analyze ?probe (Signature.map S.to_float s)
     in
     (* Serial reference prefix, shared by every attempt's forward-error
-       check; computed at most once and only if an attempt gets that far. *)
-    let reference =
-      lazy
-        (match check with
-        | No_reference -> [||]
-        | Prefix p -> Serial.full s (Array.sub x 0 (min (max 0 p) n))
-        | Full -> Serial.full s x)
-    in
-    let compare_reference out =
+       check; computed at most once and only if an attempt gets that far.
+       Floats stage the prefix into unboxed storage for
+       [Serial.full_into], which is bitwise [Serial.full]. *)
+    let p =
       match check with
-      | No_reference -> None
+      | No_reference -> 0
+      | Prefix p -> min (max 0 p) n
+      | Full -> n
+    in
+    let divergence i got expected =
+      Some (Divergence { index = i; got; expected; tol })
+    in
+    let compare_reference : S.t array -> violation option =
+      match (check, S.rep) with
+      | No_reference, _ -> fun _ -> None
+      | _, Plr_util.Scalar.Float_rep _ ->
+          let reference =
+            lazy
+              (let dst = Plr_util.Buf.create p in
+               Serial.full_into s ~src:(stage x p) ~dst;
+               dst)
+          in
+          fun out ->
+            let r = Lazy.force reference in
+            (* past [tol], the boxed [S.approx_equal] decides *)
+            let rec first i =
+              let i = past_tol ~tol r out i in
+              if i = p then None
+              else
+                let expected = Plr_util.Buf.uget r i and got = out.(i) in
+                if S.approx_equal ~tol expected got then first (i + 1)
+                else divergence i got expected
+            in
+            first 0
       | _ ->
-          let r = Lazy.force reference in
-          let bad = ref None in
-          (try
-             Array.iteri
-               (fun i expected ->
-                 if not (S.approx_equal ~tol expected out.(i)) then begin
-                   bad :=
-                     Some
-                       (Divergence
-                          {
-                            index = i;
-                            got = S.to_float out.(i);
-                            expected = S.to_float expected;
-                            tol;
-                          });
-                   raise Exit
-                 end)
-               r
-           with Exit -> ());
-          !bad
+          let reference = lazy (Serial.full s (Array.sub x 0 p)) in
+          fun out ->
+            let r = Lazy.force reference in
+            let rec first i =
+              if i = p then None
+              else if S.approx_equal ~tol r.(i) out.(i) then first (i + 1)
+              else divergence i (S.to_float out.(i)) (S.to_float r.(i))
+            in
+            first 0
     in
     let validate out =
       match scan_non_finite out with

@@ -298,11 +298,14 @@ let shard_trial ?domains ~(config : Serve.config) seed =
   let hammer d () =
     for i = 0 to reqs_per_domain - 1 do
       (* A quarter of the hammer requests carry a guaranteed carry
-         corruption: steals must not dodge the guard. *)
+         corruption: steals must not dodge the guard.  The rest carry
+         the inert plan, which runs the ordinary pooled engine but keeps
+         a validated JIT kernel from answering on the calling domain,
+         where no steal can happen. *)
       let faults =
-        if i land 3 = 0 then
-          Some (Faults.of_events [ corrupt_carry ~chunks ~k i ])
-        else None
+        Some
+          (if i land 3 = 0 then Faults.of_events [ corrupt_carry ~chunks ~k i ]
+           else Faults.none)
       in
       match Serve_.submit ?faults server s x with
       | Ok y ->

@@ -74,7 +74,6 @@ let now () = Unix.gettimeofday ()
 
 module Make (S : Plr_util.Scalar.S) = struct
   module FP = Plr_factors.Factor_plan.Make (S)
-  module M = Plr_multicore.Multicore.Make (S)
   module Serial = Plr_serial.Serial.Make (S)
   module G = Guard.Make (S)
   module Session = Session.Make (S)
@@ -133,6 +132,7 @@ module Make (S : Plr_util.Scalar.S) = struct
     last_tuning : string Atomic.t;
         (* latest tuning applied by a plan compile, for the metrics
            snapshot's attribution line *)
+    key_prefix : string; (* the cache key's scalar and options part *)
   }
 
   let make_shard ~config sindex spool =
@@ -178,6 +178,7 @@ module Make (S : Plr_util.Scalar.S) = struct
       breaker_lock = Mutex.create ();
       breakers = Hashtbl.create 16;
       last_tuning = Atomic.make "";
+      key_prefix = Format.asprintf "%s|%a|" S.ctype Opts.pp config.opts;
     }
 
   let config t = t.config
@@ -260,10 +261,10 @@ module Make (S : Plr_util.Scalar.S) = struct
 
   (* The canonical key: scalar domain × opts × signature.  [Opts.pp] and
      [Signature.to_string] are both deterministic renderings, so equal
-     configurations collide exactly. *)
+     configurations collide exactly.  The first two parts are rendered
+     once per server. *)
   let cache_key t (s : S.t Signature.t) =
-    Format.asprintf "%s|%a|%s" S.ctype Opts.pp t.config.opts
-      (Signature.to_string S.to_string s)
+    t.key_prefix ^ Signature.to_string S.to_string s
 
   (* Affinity routing: the canonical key string hashes to a home shard,
      so a signature's plans, tunings, and JIT state concentrate on one
@@ -491,71 +492,55 @@ module Make (S : Plr_util.Scalar.S) = struct
     | Some v -> Guard.violation_to_string v
     | None -> "rejected"
 
-  (* Pooled execution returns the serving result plus the breaker verdict:
-     [`Clean] for an undegraded success, [`Faulty] for a degradation or
-     failure.  A mid-flight cancellation escapes as [Cancel.Cancelled]. *)
-  let exec_pooled ?faults ~cancel t sh entry s x =
+  (* Execution above [serial_cutoff]: a ready kernel answers first and
+     [fallback] otherwise, under the guard's check ladder when [guard] is
+     on.  The breaker hears [`Clean] for an undegraded success and
+     [`Faulty] for a degradation or failure.  A mid-flight cancellation
+     escapes as [Cancel.Cancelled] and never reaches it. *)
+  let guarded t key entry ~jit ~fallback s x =
     let cfg = t.config in
-    (* The entry's tuning supplies the schedule knobs; its plan was
-       compiled to cover the tuned chunk size, so no recompile here. *)
-    let chunk_size = max 1 entry.tuning.Tune.chunk_size in
-    let window = max 1 entry.tuning.Tune.window in
-    (* Injected faults target the portable backend; letting the native
-       kernel answer would silently route around the fault site, so
-       fault-injected runs (chaos, tests) skip the JIT here.  Chaos
-       exercises the JIT path through its own [Jit] target instead. *)
-    let jit = if faults = None then entry.jit else None in
-    if cfg.guard then begin
-      let mc =
-        G.multicore_runner ~opts:cfg.opts ?faults ~plan:entry.plan ~cancel
-          ~pool:sh.spool ~chunk_size ~window ()
-      in
-      (* JIT-first under the guard: a ready, verified native kernel
-         answers (still subject to the guard's own checks below);
-         otherwise the pooled runner does.  Inlined rather than
-         [G.jit_runner] so the serving metrics see which branch ran. *)
-      let runner sg input =
-        match try_jit t jit input with
-        | Some y -> y
-        | None -> mc sg input
-      in
-      let o =
-        G.run ~check:(Guard.Prefix cfg.check_prefix)
-          ~stability:entry.stability runner s x
-      in
-      if o.G.ok then begin
-        if o.G.degraded then Metrics.Counter.incr t.metrics.Metrics.degraded;
-        (Ok o.G.output, if o.G.degraded then `Faulty else `Clean)
+    (* Inlined rather than [G.jit_runner] so the serving metrics see
+       which branch ran. *)
+    let runner sg input =
+      match try_jit t jit input with Some y -> y | None -> fallback sg input
+    in
+    let r, verdict =
+      if cfg.guard then begin
+        let o =
+          G.run ~check:(Guard.Prefix cfg.check_prefix)
+            ~stability:entry.stability runner s x
+        in
+        if o.G.ok then begin
+          if o.G.degraded then Metrics.Counter.incr t.metrics.Metrics.degraded;
+          (Ok o.G.output, if o.G.degraded then `Faulty else `Clean)
+        end
+        else (Error (Failed (last_violation o)), `Faulty)
       end
-      else (Error (Failed (last_violation o)), `Faulty)
-    end
-    else
-      match try_jit t jit x with
-      | Some y -> (Ok y, `Clean)
-      | None -> (
-          match
-            M.run ~opts:cfg.opts ?faults ~plan:entry.plan ~cancel
-              ~pool:sh.spool ~chunk_size ~window s x
-          with
-          | y -> (Ok y, `Clean)
-          | exception Cancel.Cancelled -> raise Cancel.Cancelled
-          | exception e -> (Error (Failed (Printexc.to_string e)), `Faulty))
+      else
+        match runner s x with
+        | y -> (Ok y, `Clean)
+        | exception Cancel.Cancelled -> raise Cancel.Cancelled
+        | exception e -> (Error (Failed (Printexc.to_string e)), `Faulty)
+    in
+    breaker_report t key verdict;
+    r
 
   (* ---------------------------------------------------------- requests *)
 
-  (* One attempt's backend, decided per request kind: [Local f] computes
-     the output on the calling domain; [Pooled (sh, f)] occupies shard
-     [sh]'s pool (the home shard, or a thief picked by [exec_shard]) and
-     gets the request's deadline as a cancellation token. *)
+  (* One attempt's backend, decided per request kind: [Local f] runs on
+     the calling domain; [Pooled (sh, f)] occupies shard [sh]'s pool (the
+     home shard, or a thief picked by [exec_shard]) and gets the
+     request's deadline as a cancellation token. *)
   type route =
-    | Local of (unit -> S.t array)
+    | Local of (unit -> (S.t array, error) result)
     | Pooled of shard * (Cancel.t -> (S.t array, error) result)
 
-  (* Execution proper, timed into [exec].  An exception is a failure; a
-     cancellation is the deadline firing mid-flight, at a chunk boundary,
-     so the pool stops being billed and the client sees a missed
-     deadline. *)
+  (* Execution proper, timed into [exec] under a [serve.exec] span.  An
+     exception is a failure; a cancellation is the deadline firing
+     mid-flight, at a chunk boundary, so the pool stops being billed and
+     the client sees a missed deadline. *)
   let exec t f =
+    Trace.begin_span Trace.Serve "serve.exec";
     let e0 = now () in
     let r =
       match f () with
@@ -566,10 +551,11 @@ module Make (S : Plr_util.Scalar.S) = struct
       | exception e -> Error (Failed (Printexc.to_string e))
     in
     Metrics.Histogram.observe t.metrics.Metrics.exec (now () -. e0);
+    Trace.end_span ();
     r
 
   (* One admitted attempt: admission control, the deadline, then the
-     kind's [route].  Pooled attempts serialize on the shard's
+     kind's [route].  Only pooled attempts take the shard's
      [sexec_lock]; the attempt's queue time runs from the route decision
      until the lock is taken (a local attempt queues for nothing).
      [queue_depth] brackets the whole occupancy (queued + executing) — it
@@ -589,7 +575,7 @@ module Make (S : Plr_util.Scalar.S) = struct
         match route () with
         | Local f ->
             Metrics.Histogram.observe t.metrics.Metrics.queue_wait 0.0;
-            exec t (fun () -> finite t (f ()))
+            exec t f
         | Pooled (sh, f) ->
             let r0 = now () in
             served := sh;
@@ -613,10 +599,7 @@ module Make (S : Plr_util.Scalar.S) = struct
                 | None -> Cancel.none
                 | Some d -> Cancel.create ~deadline:d ()
               in
-              Trace.begin_span Trace.Serve "serve.exec";
-              let r = exec t (fun () -> f cancel) in
-              Trace.end_span ();
-              r
+              exec t (fun () -> f cancel)
             end
 
   let retryable = function
@@ -712,19 +695,26 @@ module Make (S : Plr_util.Scalar.S) = struct
      when the plan was built, keeps short requests on the calling domain:
      at these lengths the chunked protocol cannot win, and the serial
      evaluation is the reference the guard would check against.  Longer
-     ones take the pooled engine — unless the signature's breaker is
-     open, which shorts them back to the calling domain — and a thief
-     re-resolves the plan in its own cache partition.  Injected faults
-     model a transient fault: they apply to the first attempt only. *)
+     ones run guarded, short to the calling domain while the signature's
+     breaker is open.  A validated kernel needs no pool, so it runs on
+     the calling domain too; only the pooled engine takes a shard, whose
+     thief re-resolves the plan in its own cache partition.  Injected
+     faults model a transient fault: they apply to the first attempt
+     only, and skip the JIT, since letting the native kernel answer would
+     route around the fault site (chaos reaches the JIT through its own
+     [Jit] target). *)
   let recurrence_route ?faults t key s x attempt home =
     let faults = if attempt = 0 then faults else None in
     let n = Array.length x in
     let entry, _ = plan_on ~n t home key s in
+    let kernel e = if faults = None then e.jit else None in
     let local () =
-      let jit = if faults = None then entry.jit else None in
       Local
         (fun () ->
-          match try_jit t jit x with Some y -> y | None -> Serial.full s x)
+          finite t
+            (match try_jit t (kernel entry) x with
+            | Some y -> y
+            | None -> Serial.full s x))
     in
     if n <= entry.serial_cutoff then local ()
     else
@@ -732,17 +722,26 @@ module Make (S : Plr_util.Scalar.S) = struct
       | `Serial ->
           Metrics.Counter.incr t.metrics.Metrics.breaker_shorted;
           local ()
-      | `Pooled ->
-          let sh = exec_shard t home in
-          let entry =
-            if sh == home then entry else fst (plan_on ~n t sh key s)
-          in
-          Pooled
-            ( sh,
-              fun cancel ->
-                let r, verdict = exec_pooled ?faults ~cancel t sh entry s x in
-                breaker_report t key verdict;
-                r )
+      | `Pooled -> (
+          match kernel entry with
+          | Some jb as jit when G.JB.validated jb ->
+              Local
+                (fun () -> guarded t key entry ~jit ~fallback:Serial.full s x)
+          | _ ->
+              let sh = exec_shard t home in
+              let entry =
+                if sh == home then entry else fst (plan_on ~n t sh key s)
+              in
+              let tu = entry.tuning in
+              Pooled
+                ( sh,
+                  fun cancel ->
+                    guarded t key entry ~jit:(kernel entry) s x
+                      ~fallback:
+                        (G.multicore_runner ~opts:t.config.opts ?faults
+                           ~plan:entry.plan ~cancel ~pool:sh.spool
+                           ~chunk_size:(max 1 tu.Tune.chunk_size)
+                           ~window:(max 1 tu.Tune.window) ()) ))
 
   let submit ?deadline ?faults t (s : S.t Signature.t) x =
     let key = cache_key t s in
@@ -756,33 +755,11 @@ module Make (S : Plr_util.Scalar.S) = struct
     done;
     !b
 
-  (* The scan's route.  Requests at or below [parallel_threshold]
-     evaluate on the calling domain with [sparse] (the monomorphic
-     chain, bitwise the serial reference); larger ones run the pooled
-     look-back engine with the schedule of their length bucket on the
-     executing shard's pool.  A carry fault the engine detects
-     ({!Plr_scan.Scan.Fault_detected}) degrades to the same evaluator —
-     loud, counted, never silent. *)
-  let scan_route t a b _attempt home =
-    let n = Array.length a in
-    if n <= t.config.parallel_threshold then Local (fun () -> Sc.sparse a b)
-    else
-      let sh = exec_shard t home in
-      let domains = Pool.size sh.spool in
-      Pooled
-        ( sh,
-          fun cancel ->
-            match
-              Sc.run ~cancel ~pool:sh.spool
-                ~chunk_size:
-                  (Plr_scan.Scan.default_chunk_size ~domains (scan_bucket n))
-                ~window:(Plr_scan.Scan.default_window ~pool_size:domains)
-                a b
-            with
-            | y -> finite t y
-            | exception Plr_scan.Scan.Fault_detected _ ->
-                Metrics.Counter.incr t.metrics.Metrics.degraded;
-                finite t (Sc.sparse a b) )
+  (* The scan's route: [sparse] on the calling domain at every length
+     (the monomorphic chain, bitwise the serial reference).  The pooled
+     look-back engine loses to it at serving sizes (docs/serving.md). *)
+  let scan_route t a b _attempt _home =
+    Local (fun () -> finite t (Sc.sparse a b))
 
   (* Scan requests have no signature: they route on the scalar and the
      length bucket, so a steady mix of similar lengths shares a home. *)

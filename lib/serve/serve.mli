@@ -31,12 +31,14 @@
       started, so it cannot occupy the pool);
     + takes the {b backend} the plan entry chose when it was built:
       requests up to the entry's [serial_cutoff] run on the calling
-      domain (a ready JIT kernel first, else the serial reference),
-      longer ones on the home shard's pool (or a thief's);
-    + executes {b guarded} (when [guard] is on): the parallel engine runs
-      under {!Plr_robust.Guard} with the cached stability report, so a
-      poisoned request degrades to a fallback stage instead of wedging a
-      pool worker or returning silent garbage.
+      domain (a ready JIT kernel first, else the serial reference);
+      longer ones run the signature's validated JIT kernel on the
+      calling domain, or else the home shard's pool (or a thief's);
+    + executes {b guarded} (when [guard] is on) above [serial_cutoff]:
+      the kernel or the parallel engine runs under {!Plr_robust.Guard}
+      with the cached stability report, so a poisoned request degrades
+      to a fallback stage instead of wedging a pool worker or returning
+      silent garbage.
 
     {!Make.submit_scan} requests share that lifecycle — admission,
     deadline, affinity route, retries, metrics — with their own
@@ -45,9 +47,12 @@
     per-shard rows in one JSON object.
 
     Concurrency model: [submit] is safe to call from any number of
-    domains.  Requests that need a pool serialize on their shard's exec
-    mutex (the wait is recorded as queue time); small requests execute
-    on the calling domain and bypass that lock entirely. *)
+    domains.  A shard's exec mutex guards its pool, and only requests
+    that run the pooled engine take it (the wait is recorded as queue
+    time; queue depth and stealing count only them).  Every other
+    request — short ones, those a validated JIT kernel answers, and
+    every scan — executes on the calling domain and bypasses that lock
+    entirely. *)
 
 module Pool = Plr_exec.Pool
 module Opts = Plr_factors.Opts
@@ -81,10 +86,13 @@ type config = {
           this many factors per list and reused for every request length
           (default 4096) *)
   parallel_threshold : int;
-      (** inputs longer than this use the pooled engine; at or below it
-          the request solves on the calling domain (default 16384) *)
+      (** recurrence inputs longer than this run guarded, on the pooled
+          engine unless the signature's validated JIT kernel answers on
+          the calling domain; at or below it the request solves on the
+          calling domain (default 16384) *)
   guard : bool;
-      (** wrap pooled execution in {!Plr_robust.Guard} (default true) *)
+      (** wrap execution above the threshold in {!Plr_robust.Guard}
+          (default true) *)
   check_prefix : int;
       (** guard reference-prefix length (default 1024) *)
   opts : Opts.t;  (** factor specializations (default {!Opts.all_on}) *)
@@ -138,7 +146,8 @@ module Make (S : Plr_util.Scalar.S) : sig
             scalar is unsupported, or no C toolchain exists.  Dispatch
             treats it as opportunistic: any non-ready state falls back
             to the portable backends (counted by
-            {!Metrics.t.jit_fallback}). *)
+            {!Metrics.t.jit_fallback}).  Once validated, it answers on
+            the calling domain at every request length. *)
   }
 
   val create : ?config:config -> ?pool:Pool.t -> ?domains:int -> unit -> t
@@ -250,17 +259,13 @@ module Make (S : Plr_util.Scalar.S) : sig
   (** [submit_scan t a b] serves one time-varying recurrence request
       [y[i] = a[i]*y[i-1] + b[i]] through {!Plr_scan.Scan}.  The request
       lifecycle mirrors {!submit}: admission control against
-      [config.max_inflight], deadlines enforced before execution and
-      mid-flight at chunk boundaries, retries with deterministic backoff,
+      [config.max_inflight], deadlines enforced before execution,
+      retries with deterministic backoff,
       the shared latency histograms, and per-kind attribution in the
       metrics snapshot ({!Metrics.t.scan_submitted} etc.).  Requests
-      route on the scalar and the power-of-two length bucket.  Requests
-      at or below [config.parallel_threshold] evaluate on the calling
-      domain with {!Plr_scan.Scan.Make.sparse} (the monomorphic chain,
-      bitwise the serial reference); larger ones run the pooled
-      look-back engine with the bucket's schedule on the executing
-      shard's pool, and an engine-detected carry fault degrades —
-      loudly, counted in {!Metrics.t.degraded} — to the same
-      evaluator.  Streams of different lengths fail with {!Failed}
+      route on the scalar and the power-of-two length bucket, and
+      evaluate on the calling domain with {!Plr_scan.Scan.Make.sparse}
+      (the monomorphic chain, bitwise the serial reference) at every
+      length.  Streams of different lengths fail with {!Failed}
       without being routed. *)
 end

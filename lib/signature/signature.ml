@@ -47,5 +47,10 @@ let pp pp_coeff fmt t =
   in
   Format.fprintf fmt "(%a: %a)" pp_list t.forward pp_list t.feedback
 
+(* [pp]'s text without [Format]: the serving layer renders a cache key
+   per request. *)
 let to_string coeff_to_string t =
-  Format.asprintf "%a" (pp (fun fmt c -> Format.pp_print_string fmt (coeff_to_string c))) t
+  let list a =
+    String.concat ", " (Array.to_list (Array.map coeff_to_string a))
+  in
+  "(" ^ list t.forward ^ ": " ^ list t.feedback ^ ")"

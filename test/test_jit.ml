@@ -48,6 +48,9 @@ module JBf64 = Backend.Make (Scalar.F64)
 let int_sig fwd fbk =
   Signature.create ~is_zero:(fun c -> c = 0) ~forward:fwd ~feedback:fbk
 
+let float_sig fwd fbk =
+  Signature.create ~is_zero:(fun c -> c = 0.0) ~forward:fwd ~feedback:fbk
+
 let contains ~needle hay =
   let nl = String.length needle and hl = String.length hay in
   let rec go i = i + nl <= hl && (String.sub hay i nl = needle || go (i + 1)) in
@@ -98,17 +101,23 @@ module Sweep (S : Scalar.S) = struct
 
   let random_input g n = Array.init n (fun _ -> coeff g)
 
-  let same_value a b =
+  (* [any_nan]: two NaNs agree whatever their sign and payload.  Where
+     two NaNs meet in a commutative add, the operand order the C compiler
+     picks decides which one propagates, for the emulated and the native
+     kernels alike. *)
+  let same_value ?(any_nan = false) a b =
     match S.kind with
     | Scalar.Integer -> S.equal a b
     | Scalar.Floating ->
-        Int64.bits_of_float (S.to_float a) = Int64.bits_of_float (S.to_float b)
+        let a = S.to_float a and b = S.to_float b in
+        Int64.bits_of_float a = Int64.bits_of_float b
+        || (any_nan && Float.is_nan a && Float.is_nan b)
 
-  let check_bitwise ~what expected got =
+  let check_bitwise ?any_nan ~what expected got =
     check_int (what ^ ": length") (Array.length expected) (Array.length got);
     Array.iteri
       (fun i e ->
-        if not (same_value e got.(i)) then
+        if not (same_value ?any_nan e got.(i)) then
           Alcotest.failf "%s: bitwise mismatch at %d: %s vs %s" what i
             (S.to_string e) (S.to_string got.(i)))
       expected
@@ -154,6 +163,61 @@ module Sweep (S : Scalar.S) = struct
             | None -> Alcotest.failf "%s: chunked jit unavailable" what)
           [ 0; 1; 7; 500 ])
       sigs
+
+  (* Float edge values: NaN and +-inf (only with [non_finite]: one of
+     them turns the rest of a stable chain non-finite), -0.0, binary32
+     subnormals, magnitudes near the binary32 overflow, and doubles that
+     are not binary32 (the kernel's contract covers any input), mixed
+     with plain binary32 values. *)
+  let edge_value ~non_finite g : float =
+    let sign v = if Splitmix.int g ~bound:2 = 0 then v else -.v in
+    match Splitmix.int_in g ~lo:0 ~hi:15 with
+    | 0 when non_finite -> Float.nan
+    | 1 when non_finite -> Float.infinity
+    | 2 when non_finite -> Float.neg_infinity
+    | 3 -> -0.0
+    | 4 | 5 ->
+        sign
+          (Int32.float_of_bits
+             (Int32.of_int (Splitmix.int_in g ~lo:1 ~hi:0x7fffff)))
+    | 6 -> sign (Plr_util.F32.round (Splitmix.float_in g ~lo:1e38 ~hi:3.4e38))
+    | 7 | 8 -> Splitmix.float_in g ~lo:(-0.9) ~hi:0.9
+    | _ -> Plr_util.F32.round (Splitmix.float_in g ~lo:(-2.0) ~hi:2.0)
+
+  (* [plr_jit_run] against the serial reference on edge inputs, at the
+     lengths where the kernel's loops change: k-1, k, k+1 and the
+     prologue (max (taps-1) k) +-1, plus one long run.  Every bit agrees
+     except a NaN's sign and payload.  Each kernel is validated on a
+     plain input first: its first-use check compares NaN bits. *)
+  let edge_sweep sigs =
+    match S.rep with
+    | Scalar.Float_rep _ ->
+        let g = Splitmix.create 0xed9e in
+        List.iter
+          (fun (s : S.t Signature.t) ->
+            let jb = jit_for ~m:97 s in
+            if JB.run jb (random_input g 64) = None then
+              Alcotest.fail "jit unavailable";
+            let k = Signature.order s in
+            let pro = max (Signature.fir_taps s - 1) k in
+            List.iter
+              (fun (n, non_finite) ->
+                let x = Array.init n (fun _ -> edge_value ~non_finite g) in
+                let what =
+                  Printf.sprintf "%s edge n=%d k=%d taps=%d non-finite=%b"
+                    S.ctype n k (Signature.fir_taps s) non_finite
+                in
+                match JB.run jb x with
+                | Some y ->
+                    check_bitwise ~any_nan:true ~what (Serial.full s x) y
+                | None -> Alcotest.failf "%s: jit unavailable" what)
+              (List.concat_map
+                 (fun n -> [ (n, true); (n, false) ])
+                 (List.sort_uniq compare
+                    (List.filter (fun n -> n >= 0)
+                       [ k - 1; k; k + 1; pro - 1; pro; pro + 1; 2000 ]))))
+          sigs
+    | _ -> ()
 end
 
 module Sweep_int = Sweep (Scalar.Int)
@@ -174,7 +238,13 @@ let test_sweep_f32 () =
       (fun e -> Signature.map Plr_util.F32.round e.Table1.signature)
       Table1.float_entries
   in
-  Sweep_f32.sweep ~extra_sigs:table1 ()
+  Sweep_f32.sweep ~extra_sigs:table1 ();
+  (* 0.1 and -0.3 are not binary32: their products keep the emulated
+     rounding while the binary32 ones run natively *)
+  let mixed = float_sig [| 0.5; 0.25 |] [| 0.1; 0.5; -0.3 |] in
+  let g = Splitmix.create 0xf32 in
+  Sweep_f32.edge_sweep
+    (mixed :: table1 @ List.init 6 (fun _ -> Sweep_f32.random_signature g))
 
 let test_sweep_f64 () =
   skip_without_cc ();

@@ -1,7 +1,11 @@
 (* Tests for the robustness layer: stability classification, guarded
    execution with degradation, the fault-injection chaos harness, the
-   domain-leak fix in the multicore backend, and the CLI's parser error
-   paths. *)
+   domain-leak fix in the multicore backend, the CLI's parser error
+   paths, and a shrinking property holding the guard's unboxed float
+   checks to their boxed forms.
+
+   The property runs 300 cases per scalar, 3000 with [QCHECK_LONG=1];
+   [QCHECK_SEED=N] fixes its seed. *)
 
 module Scalar = Plr_util.Scalar
 module Stability = Plr_robust.Stability
@@ -392,6 +396,190 @@ let test_unstable_guard_never_masks () =
       Alcotest.fail "guard accepted a non-finite output array"
   done
 
+(* ------------------------------------------ unboxed checks (properties) *)
+
+(* The guard's float checks loop over the flat array and take their
+   reference from [Serial.full_into].  The boxed forms they replaced stay
+   here as the oracle: a first non-finite index, and a first divergence
+   from the boxed [Serial.full] prefix under [S.approx_equal].  Outputs
+   are the serial result with edits (NaN, +-inf, -0.0, binary32
+   subnormals, small and large shifts); inputs carry the same edge
+   values. *)
+
+let show_float v =
+  if Float.is_nan v then Printf.sprintf "nan(%Lx)" (Int64.bits_of_float v)
+  else Printf.sprintf "%h" v
+
+let same_bits a b = Int64.equal (Int64.bits_of_float a) (Int64.bits_of_float b)
+
+let qcheck ~name ~print gen prop =
+  QCheck_alcotest.to_alcotest
+    (QCheck2.Test.make ~name ~count:300 ~long_factor:10 ~print gen prop)
+
+module Guard_props (S : Scalar.S with type t = float) = struct
+  module G = Guard.Make (S)
+  module Serial = Plr_serial.Serial.Make (S)
+
+  let show_array a =
+    "[|" ^ String.concat "; " (Array.to_list (Array.map show_float a)) ^ "|]"
+
+  let edges =
+    [ Float.nan; Float.signaling_nan; Int64.float_of_bits 0xFFF8_0000_0000_0000L;
+      infinity; neg_infinity; -0.0; 0x1p-149; -0x1.fffffcp-127; 0x1p-126 ]
+
+  let value =
+    QCheck2.Gen.(
+      frequency [ (8, map S.of_float (float_range (-1.5) 1.5)); (1, oneofl edges) ])
+
+  let coeffs len =
+    QCheck2.Gen.(
+      map2
+        (fun init last -> Array.append init [| (if last = 0.0 then 1.0 else last) |])
+        (array_size (return (len - 1)) (map S.of_float (float_range (-1.2) 1.2)))
+        (map S.of_float (float_range (-1.2) 1.2)))
+
+  type case = {
+    forward : float array;
+    feedback : float array;
+    x : float array;
+    edits : (int * float) list;  (** output index (mod n), new value *)
+    prefix : int;
+    tol : float;
+  }
+
+  let print c =
+    Printf.sprintf "{forward=%s; feedback=%s; x=%s; edits=[%s]; prefix=%d; tol=%g}"
+      (show_array c.forward) (show_array c.feedback) (show_array c.x)
+      (String.concat "; "
+         (List.map (fun (i, v) -> Printf.sprintf "%d:%s" i (show_float v)) c.edits))
+      c.prefix c.tol
+
+  let edit =
+    QCheck2.Gen.(
+      pair nat
+        (frequency
+           [ (2, oneofl edges); (2, float_range (-1e-2) 1e-2);
+             (1, float_range (-1e6) 1e6) ]))
+
+  let gen =
+    let open QCheck2.Gen in
+    let* k = int_range 1 3 and* taps = int_range 1 3 in
+    let* forward = coeffs taps and* feedback = coeffs k in
+    let* x = array_size (int_range 0 60) value in
+    let* edits = list_size (int_range 0 3) edit in
+    let* prefix = int_range 0 70 and* tol = oneofl [ 1e-3; 0.0 ] in
+    return { forward; feedback; x; edits; prefix; tol }
+
+  (* Shift edits move the serial value, so some stay inside [tol]. *)
+  let output c serial =
+    let out = Array.copy serial and n = Array.length serial in
+    List.iter
+      (fun (i, v) ->
+        if n > 0 then
+          let i = i mod n in
+          out.(i) <-
+            (if Float.is_finite v && Float.abs v <= 1e-2 then S.add out.(i) v
+             else v))
+      c.edits;
+    out
+
+  let boxed_non_finite out =
+    let bad = ref None in
+    Array.iteri
+      (fun i v -> if !bad = None && not (Float.is_finite v) then bad := Some i)
+      out;
+    !bad
+
+  let boxed_divergence ~tol reference out =
+    let bad = ref None in
+    Array.iteri
+      (fun i expected ->
+        if !bad = None && not (S.approx_equal ~tol expected out.(i)) then
+          bad := Some (i, out.(i), expected))
+      reference;
+    !bad
+
+  (* A stable report: the guard runs the given output as its parallel
+     attempt, never skipping it on a predicted overflow. *)
+  let stability = Stability.analyze (float_sig [| 1.0 |] [| 0.5 |])
+
+  let agrees c =
+    let s = float_sig c.forward c.feedback in
+    let n = Array.length c.x in
+    let serial = Serial.full s c.x in
+    let out = output c serial in
+    let want_nf = boxed_non_finite out in
+    if G.scan_non_finite out <> want_nf then
+      QCheck2.Test.fail_reportf "scan_non_finite disagrees with the boxed scan";
+    let reference = Serial.full s (Array.sub c.x 0 (min c.prefix n)) in
+    let o =
+      G.run ~tol:c.tol ~check:(Guard.Prefix c.prefix) ~stability
+        (fun _ _ -> Array.copy out) s c.x
+    in
+    let first = (List.hd o.G.attempts).Guard.violation in
+    (match (want_nf, first) with
+    | Some i, Some (Guard.Non_finite { index }) when i = index -> ()
+    | Some i, _ -> QCheck2.Test.fail_reportf "expected Non_finite at %d" i
+    | None, v -> (
+        match (boxed_divergence ~tol:c.tol reference out, v) with
+        | None, None -> ()
+        | Some (i, got, expected), Some (Guard.Divergence d)
+          when d.index = i && same_bits d.got got
+               && same_bits d.expected expected && d.tol = c.tol -> ()
+        | Some (i, got, expected), _ ->
+            QCheck2.Test.fail_reportf
+              "expected Divergence at %d (got %s, expected %s)" i
+              (show_float got) (show_float expected)
+        | None, _ -> QCheck2.Test.fail_reportf "expected no violation"));
+    (* The serial output itself passes the prefix check at tol 0 unless
+       it is non-finite: the reference is [Serial.full] to the bit, up to
+       the sign of a zero. *)
+    (if boxed_non_finite serial = None then
+       let o =
+         G.run ~tol:0.0 ~check:(Guard.Prefix c.prefix) ~stability
+           (fun _ _ -> serial) s c.x
+       in
+       match (List.hd o.G.attempts).Guard.violation with
+       | None -> ()
+       | Some v ->
+           QCheck2.Test.fail_reportf "serial output rejected: %s"
+             (Guard.violation_to_string v));
+    true
+
+  let tests ~name = [ qcheck ~name ~print gen agrees ]
+end
+
+module Props_f32 = Guard_props (Scalar.F32)
+module Props_f64 = Guard_props (Scalar.F64)
+
+(* The guard's checks allocate no per-element boxes: a 1024-element
+   prefix check over a 32768-element F32 output stays under 1 KB of
+   minor heap per call. *)
+let test_guard_allocation () =
+  let module Sf = Plr_serial.Serial.Make (Scalar.F32) in
+  let s = Signature.map Plr_util.F32.round Plr_signature.Table1.low_pass2.Plr_signature.Table1.signature in
+  let x =
+    Array.init 32768 (fun i -> Plr_util.F32.round (sin (float_of_int i)))
+  in
+  let y = Sf.full s x in
+  let stability = Stability.analyze s in
+  let run () =
+    let o = Guard_f.run ~check:(Guard.Prefix 1024) ~stability (fun _ _ -> y) s x in
+    if not o.Guard_f.ok then Alcotest.fail "guard rejected the serial output"
+  in
+  run ();
+  let calls = 20 in
+  let before = Gc.minor_words () in
+  for _ = 1 to calls do
+    run ()
+  done;
+  let bytes =
+    (Gc.minor_words () -. before) *. float_of_int (Sys.word_size / 8)
+    /. float_of_int calls
+  in
+  if bytes >= 1024.0 then
+    Alcotest.failf "guard allocated %.0f bytes of minor heap per call" bytes
+
 (* -------------------------------------------------- parser error paths *)
 
 let test_parse_error_paths () =
@@ -470,4 +658,9 @@ let () =
         ] );
       ( "parser errors",
         [ Alcotest.test_case "error paths" `Quick test_parse_error_paths ] );
+      ( "unboxed checks",
+        Alcotest.test_case "allocation per prefix check" `Quick
+          test_guard_allocation
+        :: Props_f32.tests ~name:"f32 checks = boxed checks"
+        @ Props_f64.tests ~name:"f64 checks = boxed checks" );
     ]

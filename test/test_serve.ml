@@ -2,7 +2,9 @@
    response bitwise-identical to the serial reference), plan-cache
    behaviour under stress and at capacity 1, admission control and
    deadline pins, chaos alongside live traffic, the warm-vs-cold plan
-   latency win, and the CLI's exit-2 discipline on malformed flags. *)
+   latency win, the routing of validated kernels and scans to the
+   calling domain, the cache key's text, and the CLI's exit-2
+   discipline on malformed flags. *)
 
 module Scalar = Plr_util.Scalar
 module Pool = Plr_exec.Pool
@@ -308,7 +310,10 @@ let shard_test_config =
     chunk_size = 64;
   }
 
+(* The JIT is off: a validated kernel would answer on the calling domain
+   and never reach a shard's queue. *)
 let test_steal_vs_sticky_session () =
+  with_jit_off @@ fun () ->
   let server = Srv_i.create ~config:shard_test_config ~domains:1 () in
   Fun.protect ~finally:(fun () -> Srv_i.shutdown server) @@ fun () ->
   let s = int_sig [| 1 |] [| 2; -1 |] in
@@ -615,6 +620,115 @@ let test_shard_affinity_stable () =
   | exception Invalid_argument _ -> ()
   | _ -> Alcotest.fail "?pool with shards > 1 must be rejected"
 
+(* ------------------------------------------------------------ routing *)
+
+module JBi = Plr_jit.Backend.Make (Scalar.Int)
+
+(* A pooled-size request whose kernel is validated runs on the calling
+   domain: it completes while a request without a kernel holds the
+   shard's pool, and it is not counted as a pooled execution. *)
+let test_validated_kernel_skips_pool () =
+  if not (Plr_jit.Jit.enabled () && Plr_jit.Jit.toolchain_available ()) then
+    Alcotest.skip ();
+  let config =
+    { Serve.default_config with Serve.parallel_threshold = 256; chunk_size = 64 }
+  in
+  let server = Srv_i.create ~config ~domains:1 () in
+  let fast = int_sig [| 1 |] [| 2; -1 |] and slow = int_sig [| 1 |] [| 3; -3; 1 |] in
+  (* built with the JIT off, the slow signature's entry has no kernel *)
+  with_jit_off (fun () -> ignore (Srv_i.plan_for server slow));
+  (match (fst (Srv_i.plan_for server fast)).Srv_i.jit with
+  | Some jb -> ignore (JBi.wait jb)
+  | None -> Alcotest.fail "no kernel for the fast signature");
+  ignore (Srv_i.submit server fast (random_input 60 100));
+  (match (fst (Srv_i.plan_for server fast)).Srv_i.jit with
+  | Some jb -> Alcotest.(check bool) "kernel validated" true (JBi.validated jb)
+  | None -> ());
+  let x = random_input 61 4096 and big = random_input 62 1_000_000 in
+  let want = Si.full fast x and big_want = Si.full slow big in
+  let depth () = (Srv_i.shard_stats server).(0).Srv_i.depth in
+  let pooled () = (Srv_i.shard_stats server).(0).Srv_i.st_pooled_home in
+  (* One round: the blocker holds the pool while the kernel's request
+     runs, unless the host stalls this domain for the blocker's whole
+     run; three rounds make that a non-event. *)
+  let round () =
+    let blocker = Domain.spawn (fun () -> Srv_i.submit server slow big) in
+    let give_up = Unix.gettimeofday () +. 30.0 in
+    while depth () = 0 && Unix.gettimeofday () < give_up do
+      Domain.cpu_relax ()
+    done;
+    let before = pooled () in
+    let r = Srv_i.submit server fast x in
+    let overlapped = depth () > 0 in
+    (match r with
+    | Ok y -> Alcotest.(check (array int)) "kernel answer bitwise" want y
+    | Error e -> Alcotest.failf "fast: %s" (Serve.error_to_string e));
+    Alcotest.(check int) "not a pooled execution" before (pooled ());
+    (match Domain.join blocker with
+    | Ok y -> Alcotest.(check (array int)) "blocker bitwise" big_want y
+    | Error e -> Alcotest.failf "blocker: %s" (Serve.error_to_string e));
+    overlapped
+  in
+  if not (round () || round () || round ()) then
+    Alcotest.fail "the kernel's request waited for the pooled one"
+
+(* Every served scan is [sparse]'s chain, bitwise the serial scan, on a
+   two-domain pool above [parallel_threshold] too. *)
+let test_scan_bitwise_serial () =
+  let module Sc = Plr_scan.Scan.Make (Scalar.F32) in
+  let server = Srv_f.create ~domains:2 () in
+  let g = Plr_util.Splitmix.create 63 in
+  let n = 32768 in
+  let a = Array.init n (fun _ -> Plr_util.F32.round (Plr_util.Splitmix.float_in g ~lo:0.5 ~hi:1.0)) in
+  let b = Array.init n (fun _ -> Plr_util.F32.round (Plr_util.Splitmix.float_in g ~lo:(-2.0) ~hi:2.0)) in
+  match Srv_f.submit_scan server a b with
+  | Ok y ->
+      Alcotest.(check int) "bit differences from Sc.serial" 0
+        (bit_diffs (Sc.serial a b) y)
+  | Error e -> Alcotest.failf "scan: %s" (Serve.error_to_string e)
+
+(* The cache key is the [Format] rendering it replaced, byte for byte:
+   routing hashes it and must stay stable across processes. *)
+let test_cache_key_text =
+  let edge = [ Float.nan; -0.0; 0.0; 0x1p-149; -0x1.fffffcp-127; infinity; 1e300 ] in
+  let coeff =
+    QCheck2.Gen.(frequency [ (3, float_range (-2.0) 2.0); (1, oneofl edge) ])
+  in
+  let coeffs = QCheck2.Gen.(array_size (int_range 1 12) coeff) in
+  let gen = QCheck2.Gen.(triple coeffs coeffs bool) in
+  let print (f, b, on) =
+    Printf.sprintf "forward=%s feedback=%s opts=%b"
+      (String.concat "," (Array.to_list (Array.map string_of_float f)))
+      (String.concat "," (Array.to_list (Array.map string_of_float b)))
+      on
+  in
+  let servers =
+    List.map
+      (fun opts -> Srv_f.create ~config:{ Serve.default_config with Serve.opts } ~domains:1 ())
+      [ Plr_factors.Opts.all_off; Plr_factors.Opts.all_on ]
+  in
+  QCheck_alcotest.to_alcotest
+    (QCheck2.Test.make ~name:"cache key = Format rendering" ~count:300
+       ~long_factor:10 ~print gen (fun (forward, feedback, on) ->
+         let last a =
+           let a = Array.copy a and n = Array.length a in
+           if a.(n - 1) = 0.0 then a.(n - 1) <- 1.0;
+           a
+         in
+         let s =
+           Signature.create ~is_zero:(fun c -> c = 0.0) ~forward:(last forward)
+             ~feedback:(last feedback)
+         in
+         let server = List.nth servers (Bool.to_int on) in
+         let want =
+           Format.asprintf "%s|%a|%a" "float" Plr_factors.Opts.pp
+             (Srv_f.config server).Serve.opts
+             (Signature.pp (fun fmt c ->
+                  Format.pp_print_string fmt (string_of_float c)))
+             s
+         in
+         String.equal want (Srv_f.cache_key server s)))
+
 (* ------------------------------------------------------- CLI exit = 2 *)
 
 let plr_exe = "../bin/plr.exe"
@@ -678,6 +792,12 @@ let () =
           Alcotest.test_case "snapshot json" `Quick test_snapshot_json;
           Alcotest.test_case "local queue wait excludes the plan build" `Quick
             test_queue_wait_local ] );
+      ( "routing",
+        [ Alcotest.test_case "validated kernel skips the pool" `Quick
+            test_validated_kernel_skips_pool;
+          Alcotest.test_case "32768-element scan is bitwise serial" `Quick
+            test_scan_bitwise_serial;
+          test_cache_key_text ] );
       ( "cli",
         [ Alcotest.test_case "flag errors exit 2" `Quick test_cli_flag_errors ] );
     ]
