@@ -431,80 +431,6 @@ let cmd_execute text n domain threads x sched trace_path =
 
 module Tune_int = Plr_core.Tune.Make (Scalar.Int)
 module Tune_f32 = Plr_core.Tune.Make (Scalar.F32)
-module Tune_cpu_int = Plr_core.Tune.Cpu (Scalar.Int)
-module Tune_cpu_f32 = Plr_core.Tune.Cpu (Scalar.F32)
-module Tune_registry = Plr_core.Tune.Registry
-
-(* `plr tune --measure`: instead of the GPU model's predicted launch
-   shapes, time the real multicore backend and persist the winning
-   schedule in the process-wide registry — optionally loaded from /
-   saved to a plr-tuning-1 JSON file so CI and the serving layer can
-   share measured tunings across processes. *)
-let cmd_tune_measure text n domain domains budget reps load_path save_path =
-  require_positive "--budget" budget;
-  require_positive "--reps" reps;
-  require_positive_opt "--domains" domains;
-  let s = parse_signature text in
-  (match load_path with
-  | None -> ()
-  | Some path ->
-      let doc = In_channel.with_open_bin path In_channel.input_all in
-      (match Tune_registry.of_json doc with
-      | Ok k -> Printf.printf "loaded %d cached tuning(s) from %s\n" k path
-      | Error e -> failwith (Printf.sprintf "%s: %s" path e)));
-  let pool = Plr_exec.Pool.get ?domains () in
-  let to_s = Plr_core.Tune.cpu_tuning_to_string in
-  let print_cached key t =
-    Printf.printf "key: %s\n" key;
-    Printf.printf "cached: %s (no search run; delete the registry entry or \
-                   use a fresh key to re-measure)\n" (to_s t);
-    t
-  in
-  let print_searched key ~tuning ~ns ~heuristic ~heuristic_ns ~trials =
-    Printf.printf "key: %s\n" key;
-    Printf.printf "%-10s %-32s %12s\n" "config" "knobs" "ns/elem";
-    Printf.printf "%-10s %-32s %12.2f\n" "heuristic" (to_s heuristic) heuristic_ns;
-    Printf.printf "%-10s %-32s %12.2f\n" "tuned" (to_s tuning) ns;
-    Printf.printf "measured %d candidate(s); tuned is %+.1f%% vs heuristic\n"
-      trials ((ns -. heuristic_ns) /. heuristic_ns *. 100.0);
-    tuning
-  in
-  let tuning =
-    match resolve_domain domain s with
-    | `Int is -> (
-        let key = Tune_cpu_int.key ~n is in
-        match Tune_registry.find key with
-        | Some t -> print_cached key t
-        | None ->
-            let r = Tune_cpu_int.search ~reps ~budget ~pool ~n is in
-            Tune_registry.store key r.Tune_cpu_int.tuning;
-            print_searched key ~tuning:r.Tune_cpu_int.tuning
-              ~ns:r.Tune_cpu_int.ns_per_elem ~heuristic:r.Tune_cpu_int.heuristic
-              ~heuristic_ns:r.Tune_cpu_int.heuristic_ns_per_elem
-              ~trials:r.Tune_cpu_int.trials)
-    | `Float -> (
-        let fs = Signature.map Plr_util.F32.round s in
-        let key = Tune_cpu_f32.key ~n fs in
-        match Tune_registry.find key with
-        | Some t -> print_cached key t
-        | None ->
-            let r = Tune_cpu_f32.search ~reps ~budget ~pool ~n fs in
-            Tune_registry.store key r.Tune_cpu_f32.tuning;
-            print_searched key ~tuning:r.Tune_cpu_f32.tuning
-              ~ns:r.Tune_cpu_f32.ns_per_elem ~heuristic:r.Tune_cpu_f32.heuristic
-              ~heuristic_ns:r.Tune_cpu_f32.heuristic_ns_per_elem
-              ~trials:r.Tune_cpu_f32.trials)
-  in
-  Format.printf "opts: %a@."
-    (Plr_core.Opts.pp_with_tuning ~tuning:(to_s tuning))
-    Plr_core.Opts.all_on;
-  match save_path with
-  | None -> ()
-  | Some path ->
-      Plr_util.Fileio.atomic_write_string ~path (Tune_registry.to_json ());
-      Printf.printf "wrote %s (%d registry entr%s)\n" path
-        (List.length (Tune_registry.entries ()))
-        (if List.length (Tune_registry.entries ()) = 1 then "y" else "ies")
 
 let cmd_tune text n domain top =
   require_positive "-n" n;
@@ -702,7 +628,7 @@ let cmd_chaos text n domain domains target trials seed =
 
 (* ----------------------------------------------------------------- scan *)
 
-type scan_backend = Scan_serial | Scan_multicore | Scan_sparse | Scan_stream
+type scan_backend = Scan_serial | Scan_multicore | Scan_sparse
 
 (* Parsed by hand (not a Cmdliner enum) so an unknown backend ends as the
    same one-line exit-2 diagnostic as every other user mistake. *)
@@ -710,12 +636,10 @@ let scan_backend_of_string = function
   | "serial" -> Scan_serial
   | "multicore" -> Scan_multicore
   | "sparse" -> Scan_sparse
-  | "stream" -> Scan_stream
   | other ->
       failwith
         (Printf.sprintf
-           "unknown scan backend %S (expected serial, multicore, sparse, or \
-            stream)"
+           "unknown scan backend %S (expected serial, multicore, or sparse)"
            other)
 
 let parse_stream name text =
@@ -745,8 +669,6 @@ let scan_streams ~n ~identity ~seed =
   done;
   (a, b)
 
-let scan_stream_piece = 4096
-
 (* One [plr scan] run over scalar [S]: the chosen backend timed beside
    the serial reference, and checked against it. *)
 module Scan_cli (S : Scalar.S) = struct
@@ -770,27 +692,13 @@ module Scan_cli (S : Scalar.S) = struct
 
   (* Returns the timings, extra report lines and the verdict. *)
   let run backend ?domains ?chunk ?window (a : S.t array) b =
-    let nn = Array.length a in
     let expected, st = time_wall (fun () -> Sc.serial a b) in
     let output, dt =
       time_wall (fun () ->
           match backend with
           | Scan_serial -> Sc.serial a b
           | Scan_multicore -> Sc.run ?domains ?chunk_size:chunk ?window a b
-          | Scan_sparse -> Sc.sparse a b
-          | Scan_stream ->
-              let t = Sc.Stream.create ?domains () in
-              let out = Array.make nn S.zero in
-              let i = ref 0 in
-              while !i < nn do
-                let len = min scan_stream_piece (nn - !i) in
-                let y =
-                  Sc.Stream.process t (Array.sub a !i len) (Array.sub b !i len)
-                in
-                Array.blit y 0 out !i len;
-                i := !i + len
-              done;
-              out)
+          | Scan_sparse -> Sc.sparse a b)
     in
     (* The timed sparse path is the one-shot pass.  The run-length plan
        is built after it, for its summary line, and its output is
@@ -879,7 +787,6 @@ let cmd_scan n seed identity domain backend_s domains chunk window a_text
     | Scan_serial -> "serial"
     | Scan_multicore -> Printf.sprintf "multicore (%d domains)" (pool_size domains)
     | Scan_sparse -> "sparse"
-    | Scan_stream -> "stream"
   in
   let scalar, nn, (dt, st, extra, ok) =
     if use_float then
@@ -1077,50 +984,13 @@ let tune_cmd =
     Arg.(value & opt int 5 & info [ "top" ] ~docv:"K"
            ~doc:"Show the $(docv) best configurations.")
   in
-  let measure =
-    Arg.(value & flag & info [ "measure" ]
-           ~doc:"Tune the multicore CPU backend by timing real runs \
-                 (chunk size × pool size × look-back window, objective \
-                 median ns/element) instead of querying the GPU model, \
-                 and persist the winner in the tuning registry.")
-  in
-  let budget =
-    Arg.(value & opt int 16 & info [ "budget" ] ~docv:"B"
-           ~doc:"Candidate configurations a $(b,--measure) search may time.")
-  in
-  let reps =
-    Arg.(value & opt int 3 & info [ "reps" ] ~docv:"R"
-           ~doc:"Timed runs per candidate in $(b,--measure) mode (after \
-                 one warm-up; the median is the objective).")
-  in
-  let save =
-    Arg.(value & opt (some string) None & info [ "save" ] ~docv:"FILE"
-           ~doc:"After $(b,--measure), write the whole tuning registry as \
-                 plr-tuning-1 JSON to $(docv) (atomically).")
-  in
-  let load =
-    Arg.(value & opt (some string) None & info [ "load" ] ~docv:"FILE"
-           ~doc:"Before $(b,--measure), merge a previously $(b,--save)d \
-                 plr-tuning-1 JSON file into the registry; a cached key \
-                 skips the search.")
-  in
-  let run text n domain top measure domains budget reps load save =
-    wrap (fun () ->
-        require_positive "-n" n;
-        if measure then
-          cmd_tune_measure text n domain domains budget reps load save
-        else cmd_tune text n domain top)
-  in
+  let run text n domain top = wrap (fun () -> cmd_tune text n domain top) in
   Cmd.v
     (Cmd.info "tune"
        ~doc:
          "Auto-tune the launch shape against the paper's default heuristics \
-          (GPU model), or with $(b,--measure) time the real multicore \
-          backend and persist the winning schedule")
-    Term.(
-      ret
-        (const run $ signature_arg $ n_arg $ domain_arg $ top $ measure
-        $ domains_arg $ budget $ reps $ load $ save))
+          (GPU model)")
+    Term.(ret (const run $ signature_arg $ n_arg $ domain_arg $ top))
 
 let execute_cmd =
   let threads =
@@ -1282,9 +1152,8 @@ let scan_cmd =
   let backend =
     Arg.(value & opt string "multicore" & info [ "backend" ] ~docv:"BACKEND"
            ~doc:"Evaluation path: serial (the reference chain), multicore \
-                 (chunked look-back engine on the domain pool), sparse \
-                 (run-length fast path), or stream (checkpointed streaming \
-                 session fed in pieces).")
+                 (chunked look-back engine on the domain pool), or sparse \
+                 (run-length fast path).")
   in
   let chunk =
     Arg.(value & opt (some int) None & info [ "chunk" ] ~docv:"C"

@@ -16,8 +16,10 @@ let default_window ~pool_size = max faulted_lookback_window (2 * pool_size)
 (* Chunk-size policy.  Chunks below [min_chunk_size] lose more to protocol
    overhead than they gain in parallelism; with [chunks_per_domain] chunks
    per participant the dynamic counter can balance uneven progress without
-   shrinking chunks further.  These are the heuristic defaults — a measured
-   [Plr_core.Tune] search can beat them. *)
+   shrinking chunks further.  These fixed heuristics are the whole policy:
+   a measured search over chunk size, pool size and window found no
+   configuration that beat them beyond their own spread
+   (docs/performance.md). *)
 let min_chunk_size = 1024
 let chunks_per_domain = 8
 

@@ -46,8 +46,3 @@ let pp fmt t =
   match on with
   | [] -> Format.pp_print_string fmt "none"
   | _ -> Format.pp_print_string fmt (String.concat "," on)
-
-(* [pp] feeds plan-cache keys, so it must never carry measured state;
-   attribution output goes through this companion instead. *)
-let pp_with_tuning ~tuning fmt t =
-  Format.fprintf fmt "%a [tuning: %s]" pp t tuning

@@ -37,11 +37,4 @@ val with_cache_budget : t -> int -> t
 val pp : Format.formatter -> t -> unit
 (** Comma-separated list of the enabled optimizations; the shared-cache
     flag carries its budget (e.g. [shared-cache=1024]).  This rendering
-    feeds plan-cache keys, so it is deliberately independent of any
-    measured tuning state. *)
-
-val pp_with_tuning : tuning:string -> Format.formatter -> t -> unit
-(** {!pp} plus the active schedule tuning and its source (e.g.
-    [… \[tuning: chunk=16384,domains=8,window=16 (searched)\]]) — the
-    attribution line bench and serve reports print.  Never used for
-    cache keys. *)
+    feeds plan-cache keys. *)

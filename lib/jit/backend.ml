@@ -90,16 +90,21 @@ module Make (S : Plr_util.Scalar.S) = struct
   let poisoned t =
     match Atomic.get t.validation with Poisoned -> true | _ -> false
 
-  (* The kernel's bitwise contract vs the OCaml reference: exact for int,
-     IEEE bit-pattern equality for floats (NaNs compare by their bits). *)
-  let bits_equal (a : S.t array) (b : S.t array) =
+  (* The kernel's contract vs the OCaml reference: exact for int; for
+     floats, a NaN agrees with any NaN and every other value by its bit
+     pattern.  Where two NaNs meet in an add, the C compiler's operand
+     order decides which one propagates, so a NaN's sign and payload are
+     outside the contract. *)
+  let agrees (a : S.t array) (b : S.t array) =
     Array.length a = Array.length b
     &&
     match S.rep with
     | Plr_util.Scalar.Int_rep -> Array.for_all2 (fun (u : int) v -> u = v) a b
     | Plr_util.Scalar.Float_rep _ ->
         Array.for_all2
-          (fun u v -> Int64.bits_of_float u = Int64.bits_of_float v)
+          (fun u v ->
+            Int64.bits_of_float u = Int64.bits_of_float v
+            || (Float.is_nan u && Float.is_nan v))
           a b
     | Plr_util.Scalar.Other_rep -> false
 
@@ -175,12 +180,12 @@ module Make (S : Plr_util.Scalar.S) = struct
             Trace.end_span ();
             Some y
         | Unchecked ->
-            (* first use: verify this very input bitwise against the
-               OCaml serial reference before trusting the kernel *)
+            (* first use: verify this very input against the OCaml
+               serial reference before trusting the kernel *)
             Trace.begin_span2 Trace.Jit "jit.verify" (Array.length x) 0;
             let y = exec fns x in
             let reference = Sr.full t.signature x in
-            let ok = bits_equal y reference in
+            let ok = agrees y reference in
             Trace.end_span ();
             if ok then begin
               Atomic.set t.validation Validated;

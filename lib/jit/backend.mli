@@ -5,8 +5,9 @@
     answers [None] — after recording a [jit.fallback] trace instant whose
     first argument is a reason code — whenever the kernel cannot be used,
     and the caller keeps its OCaml path as the fallback.  The first
-    successful run per prepared backend is verified bitwise against the
-    OCaml serial reference on the caller's own input; a mismatch poisons
+    successful run per prepared backend is verified against the OCaml
+    serial reference on the caller's own input — bitwise, except that
+    any NaN agrees with any NaN (see {!Make.run}); a mismatch poisons
     the kernel permanently. *)
 
 (** {1 Fallback reason codes} (the [jit.fallback] instant's [a0]) *)
@@ -27,7 +28,7 @@ val reason_building : int
 (** Async build still in flight. *)
 
 val reason_poisoned : int
-(** First-use bitwise verification failed. *)
+(** First-use verification failed. *)
 
 val reason_to_string : int -> string
 
@@ -59,7 +60,11 @@ module Make (S : Plr_util.Scalar.S) : sig
   val run : t -> S.t array -> S.t array option
   (** The dispatched fast path ([plr_jit_run], serial operation order).
       [Some y] is bitwise-identical to [Serial.full] (guaranteed by
-      construction and checked on first use); [None] means fall back. *)
+      construction and checked on first use), except that a NaN output
+      may differ from the reference's NaN in sign and payload: where two
+      NaNs meet in an add, the C compiler's operand order decides which
+      one propagates.  The first-use check takes any NaN for any NaN and
+      every other value by its bits.  [None] means fall back. *)
 
   val run_into : t -> src:Plr_util.Buf.t -> dst:Plr_util.Buf.t -> bool
   (** {!run} over unboxed float64 storage (float scalars only; [false]

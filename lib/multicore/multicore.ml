@@ -12,7 +12,6 @@ exception Fault_detected = Lookback.Fault_detected
 module Opts = Plr_factors.Opts
 
 let faulted_lookback_window = Lookback.faulted_lookback_window
-let default_window = Lookback.default_window
 
 (* Monomorphic fused chunk solves: the FIR part reads the immutable input
    (including the tail of the previous chunk) and the feedback part reads

@@ -50,10 +50,6 @@ exception Fault_detected of string
 val faulted_lookback_window : int
 (** {!Plr_exec.Lookback.faulted_lookback_window}. *)
 
-val default_window : pool_size:int -> int
-(** {!Plr_exec.Lookback.default_window}; a measured tuning
-    ({!Plr_core.Tune}) may override it per run. *)
-
 val solve_tail_f :
   f32:bool -> forward:float array -> feedback:float array -> Plr_util.Buf.t ->
   Plr_util.Buf.t -> lo:int -> hi:int -> unit
@@ -95,8 +91,8 @@ module Make (S : Plr_util.Scalar.S) : sig
       itself defaulting to [Domain.recommended_domain_count ()]) supplies
       the worker domains — no domain is spawned per call.  [chunk_size]
       defaults to {!default_chunk_size}; [window] overrides the pooled
-      schedule's look-back window ({!default_window}) — both are the
-      knobs the measured autotuner ([Plr_core.Tune]) searches.  [opts]
+      schedule's look-back window
+      ({!Plr_exec.Lookback.default_window}).  [opts]
       (default {!Plr_factors.Opts.all_on}) selects the factor
       specializations applied during carry promotion and correction.
 

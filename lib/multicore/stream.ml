@@ -142,13 +142,17 @@ module Make (S : Plr_util.Scalar.S) = struct
     commit t x y;
     y
 
+  (* Chunk size of an engine-fault step: small pieces still span several
+     chunks of the look-back protocol. *)
+  let faulted_chunk = 16
+
   (* The engine step only detects: the pooled engine solves the piece
      from the zero state under the fault plan and is checked whole
      against [Serial.full]; the piece itself is then [process]ed. *)
   let process_faulted t ~seed ~tol x =
     let n = Array.length x in
     if n > 0 then begin
-      let chunk_size = Plr_exec.Recoverable.faulted_chunk in
+      let chunk_size = faulted_chunk in
       let m = max t.k (min chunk_size n) in
       let faults =
         Plr_gpusim.Faults.random ~seed ~chunks:((n + m - 1) / m)

@@ -14,8 +14,7 @@
 
     The state words (carries, FIR input tail, position) are exposed for
     snapshot and restore, so {!Plr_serve.Session} wraps a stream with
-    checkpoint/journal recovery ({!Plr_exec.Recoverable}) instead of
-    reimplementing the filter. *)
+    checkpoint/journal recovery instead of reimplementing the filter. *)
 
 module Make (S : Plr_util.Scalar.S) : sig
   type t

@@ -65,7 +65,6 @@ let rec past_tol ~tol (r : Plr_util.Buf.t) (out : float array) i =
 module Make (S : Plr_util.Scalar.S) = struct
   module Engine = Plr_core.Engine.Make (S)
   module Multicore = Plr_multicore.Multicore.Make (S)
-  module Stream = Plr_multicore.Stream.Make (S)
   module Serial = Plr_serial.Serial.Make (S)
   module Serial64 = Plr_serial.Serial.Make (Plr_util.Scalar.F64)
   module JB = Plr_jit.Backend.Make (S)
@@ -276,10 +275,10 @@ module Make (S : Plr_util.Scalar.S) = struct
     end
 
   let multicore_runner ?opts ?faults ?plan ?cancel ?pool ?domains ?chunk_size
-      ?window () : runner =
+      () : runner =
    fun s input ->
-    Multicore.run ?opts ?faults ?plan ?cancel ?pool ?domains ?chunk_size
-      ?window s input
+    Multicore.run ?opts ?faults ?plan ?cancel ?pool ?domains ?chunk_size s
+      input
 
   (* Try the native JIT kernel first; any unavailability (still building,
      build failed, poisoned, …) already recorded its [jit.fallback]
@@ -290,20 +289,6 @@ module Make (S : Plr_util.Scalar.S) = struct
   let jit_runner ~jit ~(fallback : runner) : runner =
    fun s input ->
     match JB.run jit input with Some y -> y | None -> fallback s input
-
-  let stream_runner ?pool ?domains ~buffer () : runner =
-   fun s input ->
-    let buffer = max 1 buffer in
-    let stream = Stream.create ?pool ?domains s in
-    let n = Array.length input in
-    let pieces = ref [] in
-    let pos = ref 0 in
-    while !pos < n do
-      let len = min buffer (n - !pos) in
-      pieces := Stream.process stream (Array.sub input !pos len) :: !pieces;
-      pos := !pos + len
-    done;
-    Array.concat (List.rev !pieces)
 
   let pp_outcome ppf o =
     Format.fprintf ppf "@[<v>stability:@,  @[<v>%a@]@,attempts:@," Stability.pp_report

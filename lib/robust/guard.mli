@@ -2,7 +2,7 @@
     degrade along an explicit policy instead of returning silent garbage.
 
     The guard wraps any runner (the modeled-GPU engine, the multicore CPU
-    backend, or the streaming pipeline) and checks its output for
+    backend, or the JIT kernel) and checks its output for
     non-finite values and for forward error against a serial reference
     prefix.  On a violation — including an engine exception such as a
     detected protocol stall — it falls back, in order:
@@ -90,12 +90,12 @@ module Make (S : Plr_util.Scalar.S) : sig
     ?opts:Plr_core.Opts.t -> ?faults:Faults.plan ->
     ?plan:Plr_factors.Factor_plan.Make(S).t -> ?cancel:Plr_exec.Cancel.t ->
     ?pool:Plr_exec.Pool.t ->
-    ?domains:int -> ?chunk_size:int -> ?window:int -> unit -> runner
+    ?domains:int -> ?chunk_size:int -> unit -> runner
   (** The single-pass CPU engine; [pool]/[domains] select the persistent
       domain pool, [plan] injects a precompiled factor plan (the serve
-      layer's cache), and [chunk_size]/[window] carry a measured tuning
-      ({!Plr_core.Tune.cpu_tuning}) exactly as in
-      {!Plr_multicore.Multicore.Make.run}.
+      layer's cache), and [chunk_size] passes through to
+      {!Plr_multicore.Multicore.Make.run}, whose look-back window is its
+      default.
       [cancel] is polled at chunk boundaries; when it fires, the guard
       re-raises {!Plr_exec.Cancel.Cancelled} instead of degrading — a
       cancelled request is the caller's abort, not an engine fault. *)
@@ -109,11 +109,6 @@ module Make (S : Plr_util.Scalar.S) : sig
       instant is recorded by the backend itself.  A JIT result is already
       bitwise-identical to the serial reference by construction, so the
       guard's check ladder passes it untouched. *)
-
-  val stream_runner :
-    ?pool:Plr_exec.Pool.t -> ?domains:int -> buffer:int -> unit -> runner
-  (** Feeds the input through {!Plr_multicore.Stream} in [buffer]-sized
-      chunks and concatenates the results. *)
 
   val pp_outcome : Format.formatter -> outcome -> unit
 end

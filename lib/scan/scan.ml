@@ -2,54 +2,16 @@ module Faults = Plr_gpusim.Faults
 module Pool = Plr_exec.Pool
 module Cancel = Plr_exec.Cancel
 module Trace = Plr_trace.Trace
-module Buf = Plr_util.Buf
-module A1 = Bigarray.Array1
-
 module Lookback = Plr_exec.Lookback
-module Recoverable = Plr_exec.Recoverable
 
 exception Fault_detected = Lookback.Fault_detected
 
 let default_window = Lookback.default_window
 let default_chunk_size = Lookback.default_chunk_size
 
-(* Monomorphic phase-1 kernel on unboxed float64 storage: the chunk's
-   composed affine operator (A, B) — A the ordered product of the a's, B
-   the chain from zero, i.e. exactly the chunk's output if the incoming
-   carry were zero.  With [f32] every operation is rounded to binary32
-   through the [Int32.bits_of_float] round-trip (both externals are
-   [@@unboxed] [@@noalloc]), replicating the {!Plr_util.Scalar.F32}
-   emulation operation for operation.  The accumulators are float refs,
-   which the compiler stores flat, so the loop allocates nothing. *)
-let aggregate_f ~f32 (a : Buf.t) (b : Buf.t) ~base ~len =
-  let p = ref 1.0 and y = ref 0.0 in
-  for i = base to base + len - 1 do
-    let ai = A1.unsafe_get a i in
-    let pv = ai *. !p in
-    p := (if f32 then Int32.float_of_bits (Int32.bits_of_float pv) else pv);
-    let m = ai *. !y in
-    let m = if f32 then Int32.float_of_bits (Int32.bits_of_float m) else m in
-    let v = m +. A1.unsafe_get b i in
-    y := (if f32 then Int32.float_of_bits (Int32.bits_of_float v) else v)
-  done;
-  (!p, !y)
-
-(* Phase 2 on unboxed storage: recompute the chunk's outputs with the
-   plain serial chain from the received carry, so the within-chunk
-   operation order is exactly the serial reference's. *)
-let chain_f ~f32 (a : Buf.t) (b : Buf.t) (y : Buf.t) ~base ~len ~y0 =
-  let prev = ref y0 in
-  for i = base to base + len - 1 do
-    let m = A1.unsafe_get a i *. !prev in
-    let m = if f32 then Int32.float_of_bits (Int32.bits_of_float m) else m in
-    let v = m +. A1.unsafe_get b i in
-    let v = if f32 then Int32.float_of_bits (Int32.bits_of_float v) else v in
-    A1.unsafe_set y i v;
-    prev := v
-  done
-
-(* Binary32 rounding through the [Int32.bits_of_float] round-trip, as
-   in [aggregate_f]. *)
+(* Binary32 rounding through the [Int32.bits_of_float] round-trip (both
+   externals are [@@unboxed] [@@noalloc]), replicating the
+   {!Plr_util.Scalar.F32} emulation operation for operation. *)
 let[@inline] round f32 v =
   if f32 then Int32.float_of_bits (Int32.bits_of_float v) else v
 
@@ -65,8 +27,11 @@ let[@inline] step_fa f32 (a : float array) (b : float array) i prev =
   let ai = Array.unsafe_get a i in
   round f32 (round f32 (ai *. prev) +. Array.unsafe_get b i)
 
-(* [chain_f] on the caller's arrays: [serial_into] and the dense and
-   reset segments of a sparse plan. *)
+(* The serial chain over [base, base+len) from [y0]: [serial_into], the
+   dense and reset segments of a sparse plan, and the chunked engine's
+   phase 2, which recomputes a chunk's outputs from its received carry
+   so that the within-chunk operation order is exactly the serial
+   reference's. *)
 let chain_fa ~f32 (a : float array) (b : float array) (y : float array)
     ~base ~len ~y0 =
   let prev = ref y0 in
@@ -74,6 +39,20 @@ let chain_fa ~f32 (a : float array) (b : float array) (y : float array)
     prev := step_fa f32 a b i !prev;
     Array.unsafe_set y i !prev
   done
+
+(* Phase 1 of the chunked engine: the chunk's composed affine operator
+   (A, B), A the ordered product of the a's and B the chain from zero,
+   i.e. exactly the chunk's output if the incoming carry were zero.  The
+   accumulators are float refs, which the compiler stores flat; only the
+   returned pair is boxed, once per chunk. *)
+let aggregate_fa ~f32 (a : float array) (b : float array) ~base ~len =
+  let p = ref 1.0 and y = ref 0.0 in
+  for i = base to base + len - 1 do
+    let ai = Array.unsafe_get a i in
+    p := round f32 (ai *. !p);
+    y := step_fa f32 a b i !y
+  done;
+  (!p, !y)
 
 let neg_zero_bits = Int64.bits_of_float (-0.0)
 
@@ -96,7 +75,7 @@ let identity_run_fa ~f32 (a : float array) (b : float array)
   done;
   Array.fill y !i (stop - !i) !prev
 
-(* The same two kernels monomorphized onto flat [int array] storage. *)
+(* The aggregate and chain kernels on flat [int array] storage. *)
 let aggregate_i (a : int array) (b : int array) ~base ~len =
   let p = ref 1 and y = ref 0 in
   for i = base to base + len - 1 do
@@ -365,39 +344,7 @@ module Make (S : Plr_util.Scalar.S) = struct
       L.run ?window ~cancel ~pool:(Lazy.force pool) ~start:(Some (S.one, y0))
         ops ~n ~m
 
-  (* ---------------------------------------------------- entry points *)
-
-  let resolve_pool ?pool ?domains () =
-    match pool with Some p -> p | None -> Pool.get ?domains ()
-
-  let resolve_m ?chunk_size ~pool n =
-    match chunk_size with
-    | Some c -> min (max 1 c) n
-    | None -> min (default_chunk_size ~domains:(Pool.size pool) n) n
-
-  (* Buf-in/Buf-out entry for float scalars, and the unboxed path of
-     [run]: the monomorphic kernels are built where matching the
-     representation witness has refined [S.t] to [float].  [dst] is
-     caller-allocated (reusable across calls), so a warmed-up run performs
-     no per-element allocation. *)
-  let run_into ?(cancel = Cancel.none) ?pool ?domains ?chunk_size ?window
-      ?(y0 = S.zero) (a : Buf.t) (b : Buf.t) ~(dst : Buf.t) =
-    let n = Buf.length a in
-    if Buf.length b <> n then
-      invalid_arg "Scan.run_into: coefficient streams differ in length";
-    if Buf.length dst < n then invalid_arg "Scan.run_into: dst too short";
-    match S.rep with
-    | _ when n = 0 -> ()
-    | Plr_util.Scalar.Float_rep rounding ->
-        let f32 = rounding = Plr_util.Scalar.Round_f32 in
-        let pool = resolve_pool ?pool ?domains () in
-        let m = resolve_m ?chunk_size ~pool n in
-        L.traced ~n ~m @@ fun () ->
-        run_ops ?window ~cancel ~pool:(Lazy.from_val pool) ~n ~m ~y0
-          ~aggregate:(aggregate_f ~f32 a b : base:int -> len:int -> S.t * S.t)
-          ~chain:(chain_f ~f32 a b dst : base:int -> len:int -> y0:S.t -> unit)
-          ()
-    | _ -> invalid_arg "Scan.run_into: not a float scalar"
+  (* ---------------------------------------------------- entry point *)
 
   let run ?(faults = Faults.none) ?(cancel = Cancel.none) ?pool ?domains
       ?chunk_size ?window ?(y0 = S.zero) (a : S.t array) b : S.t array =
@@ -407,204 +354,44 @@ module Make (S : Plr_util.Scalar.S) = struct
     else begin
       (* The faulted replay runs sequentially and needs no pool. *)
       let unfaulted = Faults.is_none faults in
-      let pool = lazy (resolve_pool ?pool ?domains ()) in
+      let pool =
+        lazy (match pool with Some p -> p | None -> Pool.get ?domains ())
+      in
       let m =
         match chunk_size with
         | Some c -> min n (max 1 c)
-        | None when unfaulted -> resolve_m ~pool:(Lazy.force pool) n
+        | None when unfaulted ->
+            min n (default_chunk_size ~domains:(Pool.size (Lazy.force pool)) n)
         | None -> min n (Lookback.fallback_chunk_size n)
       in
-      (* Storage dispatch: floats convert to unboxed Buf storage at this
-         API boundary only; native ints run in place on their (already
-         flat) arrays; everything else, and the faulted replay, takes the
-         generic boxed kernels.  All paths run the identical schedule and
-         operation order, so outputs are bitwise identical. *)
-      match S.rep with
-      | Plr_util.Scalar.Float_rep _ when unfaulted ->
-          let dst = Buf.create n in
-          run_into ~cancel ~pool:(Lazy.force pool) ~chunk_size:m ?window ~y0
-            (Buf.of_array a) (Buf.of_array b) ~dst;
-          Buf.to_array dst
-      | rep ->
-          L.traced ~n ~m @@ fun () : S.t array ->
-          let y = Array.make n S.zero in
-          let run = run_ops ?window ~faults ~cancel ~pool ~n ~m ~y0 in
-          (match rep with
-          | Plr_util.Scalar.Int_rep when unfaulted ->
-              run
-                ~aggregate:(aggregate_i a b : base:int -> len:int -> S.t * S.t)
-                ~chain:(chain_i a b y : base:int -> len:int -> y0:S.t -> unit)
-                ()
-          | _ ->
-              run
-                ~poison_outputs:(fun ~base ~len ->
-                  y.(base) <- poison;
-                  y.(base + len - 1) <- poison)
-                ~aggregate:(aggregate_s ~a ~b) ~chain:(chain_s ~a ~b y) ());
-          y
-    end
-
-  (* -------------------------------------------------------- streaming *)
-
-  module Stream = struct
-    type fault = Recoverable.fault =
-      | Crash
-      | Corrupt_state
-      | Engine_fault of int
-
-    let fault_to_string = Recoverable.fault_to_string
-
-    (* A jump over [steps] inputs: a gap of identity steps ([None]) or a
-       fast-forward by a composed operator. *)
-    type segment =
-      | Data of S.t array * S.t array
-      | Jump of (S.t * S.t) option * int
-
-    type stats = {
-      position : int;
-      checkpoints : int;
-      recoveries : int;
-      fastforwards : int;
-      detected : int;
-      replayed : int;
-    }
-
-    type state = {
-      pool : Pool.t;
-      tol : float;
-      mutable y : S.t;
-      mutable pos : int;
-      mutable fastforwards : int;
-    }
-
-    (* Exactly the state transition of one data piece, so recovery replay
-       goes through this same code and reproduces the state bit-for-bit.
-       Every piece commits [sparse] from the exact carry: bitwise
-       identical to the serial reference over the concatenated stream.  A
-       faulted piece also runs the engine under the injected plan, only
-       to detect: it is checked whole before any state commits, and its
-       output is never served. *)
-    let process_data ?seed st ~a ~b =
-      let n = Array.length a in
-      if n = 0 then [||]
-      else begin
-        let y = sparse ~y0:st.y a b in
-        Option.iter
-          (fun seed ->
-            let m = max 1 (min Recoverable.faulted_chunk n) in
-            let faults =
-              Faults.random ~seed ~chunks:((n + m - 1) / m) ~lanes:2
-                ~max_events:3 ()
-            in
-            Lookback.verify ~agree:(S.approx_equal ~tol:st.tol) ~expected:y
-              (fun () ->
-                run ~faults ~pool:st.pool
-                  ~chunk_size:Recoverable.faulted_chunk ~y0:st.y a b))
-          seed;
-        st.y <- y.(n - 1);
-        st.pos <- st.pos + n;
-        y
-      end
-
-    (* A gap of [steps > 0] identity steps [y := 1*y + 0]: the first is
-       taken for real, since it rounds an F32 carry no step has rounded
-       and turns -0.0 into +0.0, and every later one maps its output to
-       itself.  A fast-forward is one compose: the carry pair is the
-       operator. *)
-    let advance st ?op steps =
-      Trace.begin_span2 Trace.Scan "scan.session.ff" st.pos steps;
-      (match op with
-      | Some (a_prod, b_fold) -> st.y <- S.add (S.mul a_prod st.y) b_fold
-      | None -> st.y <- S.add (S.mul S.one st.y) S.zero);
-      st.pos <- st.pos + steps;
-      st.fastforwards <- st.fastforwards + 1;
-      Trace.end_span ()
-
-    type snapshot = { cp_pos : int; cp_y : S.t; cp_digest : int }
-
-    (* The state is two words, so the digest is simply a hash of the pair
-       (rendered, so floats hash by value, not address). *)
-    let state_digest ~pos ~y = Hashtbl.hash (pos, S.to_string y)
-
-    module R = Recoverable.Make (struct
-      type t = state
-      type nonrec snapshot = snapshot
-      type nonrec segment = segment
-
-      let position st = st.pos
-
-      let snapshot st =
-        let cp_digest = state_digest ~pos:st.pos ~y:st.y in
-        { cp_pos = st.pos; cp_y = st.y; cp_digest }
-
-      let digest cp = cp.cp_digest
-      let valid cp = state_digest ~pos:cp.cp_pos ~y:cp.cp_y = cp.cp_digest
-
-      let restore st cp =
-        st.y <- cp.cp_y;
-        st.pos <- cp.cp_pos
-
-      let replay st = function
-        | Data (a, b) -> ignore (process_data st ~a ~b : S.t array)
-        | Jump (op, steps) -> advance st ?op steps
-
-      let replayed = function Data (a, _) -> Array.length a | Jump _ -> 0
-
-      let crash st =
-        st.y <- S.of_int 0x5EED_BAD;
-        st.pos <- st.pos + 1 (* a lost position is part of losing memory *)
-
-      let corrupt st = st.y <- corrupt st.y
-      let cat = Trace.Scan
-      let checkpoint_span = "scan.session.checkpoint"
-      let recover_span = "scan.session.recover"
-      let name = "Scan.Stream"
-    end)
-
-    type t = R.t
-
-    let create ?pool ?domains ?checkpoint_every ?(tol = 1e-3) ?(y0 = S.zero)
-        () =
-      let pool = match pool with Some p -> p | None -> Pool.get ?domains () in
-      R.create ?checkpoint_every
-        { pool; tol; y = y0; pos = 0; fastforwards = 0 }
-
-    let position t = (R.state t).pos
-    let value t = (R.state t).y
-
-    let stats t =
-      let r = R.stats t and st = R.state t in
-      {
-        position = st.pos;
-        checkpoints = r.R.checkpoints;
-        recoveries = r.R.recoveries;
-        fastforwards = st.fastforwards;
-        detected = r.R.detected;
-        replayed = r.R.replayed;
-      }
-
-    let process ?fault t a b =
-      check_lengths "Scan.Stream.process" a b;
-      let y =
-        R.step t fault (fun seed -> process_data ?seed (R.state t) ~a ~b)
-      in
-      if Array.length a > 0 then
-        R.commit t (fun () -> Data (Array.copy a, Array.copy b));
+      (* Storage dispatch: native ints and floats run their monomorphic
+         kernels on the caller's (already flat) arrays; everything else,
+         and the faulted replay, takes the generic boxed kernels.  All
+         paths run the identical schedule and operation order, so outputs
+         are bitwise identical. *)
+      L.traced ~n ~m @@ fun () : S.t array ->
+      let y = Array.make n S.zero in
+      let run = run_ops ?window ~faults ~cancel ~pool ~n ~m ~y0 in
+      (match S.rep with
+      | Plr_util.Scalar.Int_rep when unfaulted ->
+          run
+            ~aggregate:(aggregate_i a b : base:int -> len:int -> S.t * S.t)
+            ~chain:(chain_i a b y : base:int -> len:int -> y0:S.t -> unit)
+            ()
+      | Plr_util.Scalar.Float_rep r when unfaulted ->
+          let f32 = r = Plr_util.Scalar.Round_f32 in
+          run
+            ~aggregate:
+              (aggregate_fa ~f32 a b : base:int -> len:int -> S.t * S.t)
+            ~chain:
+              (chain_fa ~f32 a b y : base:int -> len:int -> y0:S.t -> unit)
+            ()
+      | _ ->
+          run
+            ~poison_outputs:(fun ~base ~len ->
+              y.(base) <- poison;
+              y.(base + len - 1) <- poison)
+            ~aggregate:(aggregate_s ~a ~b) ~chain:(chain_s ~a ~b y) ());
       y
-
-    let jump ?fault ?op t steps =
-      R.step t fault ignore;
-      if steps > 0 then begin
-        advance (R.state t) ?op steps;
-        R.commit t (fun () -> Jump (op, steps))
-      end
-
-    let skip ?fault t n =
-      if n < 0 then invalid_arg "Scan.Stream.skip: negative gap";
-      jump ?fault t n
-
-    let fast_forward ?fault t ~a_prod ~b_fold ~steps =
-      if steps < 0 then invalid_arg "Scan.Stream.fast_forward: negative steps";
-      jump ?fault ~op:(a_prod, b_fold) t steps
-  end
+    end
 end

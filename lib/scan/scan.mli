@@ -31,14 +31,14 @@
     values agree with the serial reference to rounding only — except on
     all-identity streams and on streams that reset ([a[i] = 0]) inside
     every chunk, where the divergence is truncated and the engine is
-    bitwise serial again.  {!Make.serial_into}, {!Make.sparse} and
-    {!Make.Stream} evaluate serially from exact carries and are bitwise
-    {!Make.serial} for every scalar. *)
+    bitwise serial again.  An unfaulted run of one chunk
+    ([n <= chunk_size]) has no carry to fold and is bitwise
+    {!Make.serial}, as are {!Make.serial_into} and {!Make.sparse}, for
+    every scalar. *)
 
 module Faults = Plr_gpusim.Faults
 module Pool = Plr_exec.Pool
 module Cancel = Plr_exec.Cancel
-module Buf = Plr_util.Buf
 
 exception Fault_detected of string
 (** {!Plr_exec.Lookback.Fault_detected}, rebound (one identity shared
@@ -131,97 +131,18 @@ module Make (S : Plr_util.Scalar.S) : sig
     S.t array ->
     S.t array
   (** [run a b]: the chunked two-phase engine (see the module preamble for the
-      determinism contract).  Storage dispatches on {!S.rep}: floats run
-      on unboxed {!Buf.t} storage, native ints on flat arrays, other
-      scalars on the generic kernels — all schedules and storages produce
-      bitwise-identical output.  Look-back carries are cross-checked
-      against already-published inclusive carries before commit; a
-      mismatch raises {!Fault_detected}.  A non-inert [faults] plan
+      determinism contract).  Storage dispatches on {!S.rep}: floats and
+      native ints run monomorphic kernels on the caller's flat arrays,
+      other scalars the generic kernels — all schedules and storages
+      produce bitwise-identical output.  On floats and native ints a
+      call allocates per chunk beyond its output, not per element.
+      Look-back carries are cross-checked against already-published
+      inclusive carries before commit; a mismatch raises
+      {!Fault_detected}.  A non-inert [faults] plan
       routes to the deterministic faulted replay
       ({!Plr_exec.Lookback.Make.run_faulted}: sequential, under the plan's
       completion permutation), which raises {!Fault_detected} on dropped
       publications and failed carry verification; a poisoned chunk
       publishes a poisoned aggregate and writes garbage into its own
       first and last outputs. *)
-
-  val run_into :
-    ?cancel:Cancel.t ->
-    ?pool:Pool.t ->
-    ?domains:int ->
-    ?chunk_size:int ->
-    ?window:int ->
-    ?y0:S.t ->
-    Buf.t ->
-    Buf.t ->
-    dst:Buf.t ->
-    unit
-  (** [run_into a b ~dst]: Buf-in/Buf-out entry for float scalars: no boxed conversion, and
-      [dst] is caller-owned, so a warmed-up run performs no per-element
-      allocation.  Raises [Invalid_argument] for non-float scalars or
-      when [dst] is shorter than the inputs. *)
-
-  (** Streaming scan sessions: the pair carry recovered by the shared
-      checkpoint/journal/replay layer ({!Plr_exec.Recoverable}), like
-      {!Plr_serve.Session}.  The carry pair {e is} the fast-forward
-      operator, so a gap is one compose — no companion powers needed.
-      Pieces evaluate with {!sparse} from the exact carry, so a stream's
-      concatenated outputs are bitwise identical to {!serial} over the
-      concatenated inputs (a {!Stream.skip} gap spelled out as its
-      identity steps), for every scalar.  An [Engine_fault] piece solves
-      under that seed's injected fault plan and is verified whole against
-      the serial reference before any state commits. *)
-  module Stream : sig
-    type t
-
-    type fault = Plr_exec.Recoverable.fault =
-      | Crash
-      | Corrupt_state
-      | Engine_fault of int
-
-    type stats = {
-      position : int;
-      checkpoints : int;
-      recoveries : int;
-      fastforwards : int;
-      detected : int;
-      replayed : int;
-    }
-
-    val fault_to_string : fault -> string
-
-    val create :
-      ?pool:Pool.t ->
-      ?domains:int ->
-      ?checkpoint_every:int ->
-      ?tol:float ->
-      ?y0:S.t ->
-      unit ->
-      t
-
-    val position : t -> int
-    val value : t -> S.t
-    (** The current carry [y[pos-1]] ([y0] before any input). *)
-
-    val stats : t -> stats
-
-    val process : ?fault:fault -> t -> S.t array -> S.t array -> S.t array
-    (** [process t a b] feeds one piece of the coefficient streams and
-        returns its outputs.
-        Armed faults are detected (digest check, or whole-piece
-        verification for engine faults), recovered from the last
-        checkpoint by journal replay, and the piece re-runs cleanly —
-        silent divergence is structurally impossible on this path. *)
-
-    val skip : ?fault:fault -> t -> int -> unit
-    (** A gap of [n] identity steps ([a = 1, b = 0], with [b = +0.0]
-        for floats), O(1) regardless of [n]: the first step is taken
-        for real, which rounds an F32 carry and turns [-0.0] into
-        [+0.0], and every later one leaves the carry unchanged. *)
-
-    val fast_forward :
-      ?fault:fault -> t -> a_prod:S.t -> b_fold:S.t -> steps:int -> unit
-    (** Jump the stream over [steps] inputs whose composed operator is
-        [(a_prod, b_fold)]: one compose, [y := a_prod*y + b_fold].
-        Exact for integer scalars; to rounding for floats. *)
-  end
 end

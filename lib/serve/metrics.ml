@@ -115,8 +115,6 @@ type t = {
   breaker_shorted : Counter.t;
   plan_hits : Counter.t;
   plan_misses : Counter.t;
-  tune_cached : Counter.t;
-  tune_heuristic : Counter.t;
   jit_used : Counter.t;
   jit_fallback : Counter.t;
   session_checkpoints : Counter.t;
@@ -151,8 +149,6 @@ let create () =
     breaker_shorted = Counter.create ();
     plan_hits = Counter.create ();
     plan_misses = Counter.create ();
-    tune_cached = Counter.create ();
-    tune_heuristic = Counter.create ();
     jit_used = Counter.create ();
     jit_fallback = Counter.create ();
     session_checkpoints = Counter.create ();
@@ -169,7 +165,7 @@ let create () =
     total = Histogram.create ();
   }
 
-let snapshot_json ?tuning ?shards t =
+let snapshot_json ?shards t =
   let b = Buffer.create 1024 in
   Buffer.add_string b "{\n";
   let counter name c = Printf.sprintf "  \"%s\": %d" name (Counter.get c) in
@@ -188,8 +184,6 @@ let snapshot_json ?tuning ?shards t =
       counter "breaker_shorted" t.breaker_shorted;
       counter "plan_cache_hits" t.plan_hits;
       counter "plan_cache_misses" t.plan_misses;
-      counter "tune_cached" t.tune_cached;
-      counter "tune_heuristic" t.tune_heuristic;
       counter "jit_used" t.jit_used;
       counter "jit_fallback" t.jit_fallback;
       counter "session_checkpoints" t.session_checkpoints;
@@ -213,9 +207,6 @@ let snapshot_json ?tuning ?shards t =
       histogram "exec" t.exec;
       histogram "total" t.total;
     ]
-    @ (match tuning with
-      | None | Some "" -> []
-      | Some s -> [ Printf.sprintf "  \"tuning\": %S" s ])
     @ (match shards with
       | None | Some "" -> []
       | Some s -> [ Printf.sprintf "  \"shards\": %s" s ])

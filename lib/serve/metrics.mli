@@ -62,10 +62,6 @@ type t = {
           breaker *)
   plan_hits : Counter.t;      (** plan-cache lookups served from cache *)
   plan_misses : Counter.t;    (** lookups that compiled a fresh plan *)
-  tune_cached : Counter.t;
-      (** plan compiles that reused a tuning from the registry *)
-  tune_heuristic : Counter.t;
-      (** plan compiles that fell back to the built-in heuristics *)
   jit_used : Counter.t;
       (** executions answered by the native JIT kernel *)
   jit_fallback : Counter.t;
@@ -99,18 +95,14 @@ type t = {
 
 val create : unit -> t
 
-val snapshot_json : ?tuning:string -> ?shards:string -> t -> string
+val snapshot_json : ?shards:string -> t -> string
 (** One JSON object with every counter, every histogram, and a
     ["kinds"] block attributing submitted/completed/failed to the
     request kind (["recurrence"] = the all-kinds totals minus the scan
     share, ["scan"] = the scan_* counters).  [shards] (when non-empty)
     is a pre-rendered JSON array of per-shard stat objects (pool size,
     queue depth, steals in/out, migrations, affinity hit rate — see
-    {!Serve.Make.shard_stats}) echoed as a ["shards"] field.  [tuning]
-    (when non-empty) is echoed as a ["tuning"] field: the active
-    schedule tuning and its source (cached | heuristic-fallback), so a
-    snapshot is attributable to the configuration that produced it.
-    When the
+    {!Serve.Make.shard_stats}) echoed as a ["shards"] field.  When the
     {!Plr_trace.Trace} sink is enabled the snapshot also carries a
     ["trace"] block: total recorded events, events dropped to full
     rings, and the top spans by inclusive time as produced by

@@ -2,7 +2,6 @@ module Pool = Plr_exec.Pool
 module Cancel = Plr_exec.Cancel
 module Trace = Plr_trace.Trace
 module Opts = Plr_factors.Opts
-module Tune = Plr_core.Tune
 module Stability = Plr_robust.Stability
 module Guard = Plr_robust.Guard
 module Faults = Plr_gpusim.Faults
@@ -77,15 +76,12 @@ module Make (S : Plr_util.Scalar.S) = struct
   module Serial = Plr_serial.Serial.Make (S)
   module G = Guard.Make (S)
   module Session = Session.Make (S)
-  module TC = Tune.Cpu (S)
   module Sc = Plr_scan.Scan.Make (S)
 
   type entry = {
     stability : Stability.report;
     plan : FP.t;
     serial_cutoff : int;
-    tuning : Tune.cpu_tuning;
-    tuning_source : Tune.cpu_source;
     jit : G.JB.t option;
   }
 
@@ -100,7 +96,7 @@ module Make (S : Plr_util.Scalar.S) = struct
   }
 
   (* One shard: a private pool, a plan-cache partition (compiled
-     factor plans, tunings, and JIT state stay hot per shard), its own
+     factor plans and JIT state stay hot per shard), its own
      exec lock, and the queue-depth signal the router and the stealing
      policy read.  The remaining fields are bookkeeping counters for the
      per-shard metrics export. *)
@@ -129,9 +125,6 @@ module Make (S : Plr_util.Scalar.S) = struct
     inflight : int Atomic.t;
     breaker_lock : Mutex.t;
     breakers : (string, breaker) Hashtbl.t;
-    last_tuning : string Atomic.t;
-        (* latest tuning applied by a plan compile, for the metrics
-           snapshot's attribution line *)
     key_prefix : string; (* the cache key's scalar and options part *)
   }
 
@@ -177,7 +170,6 @@ module Make (S : Plr_util.Scalar.S) = struct
       inflight = Atomic.make 0;
       breaker_lock = Mutex.create ();
       breakers = Hashtbl.create 16;
-      last_tuning = Atomic.make "";
       key_prefix = Format.asprintf "%s|%a|" S.ctype Opts.pp config.opts;
     }
 
@@ -251,11 +243,7 @@ module Make (S : Plr_util.Scalar.S) = struct
     Printf.sprintf "[ %s ]"
       (String.concat ", " (Array.to_list (Array.map one (shard_stats t))))
 
-  let snapshot_json t =
-    Metrics.snapshot_json ~shards:(shards_json t)
-      ?tuning:
-        (match Atomic.get t.last_tuning with "" -> None | s -> Some s)
-      t.metrics
+  let snapshot_json t = Metrics.snapshot_json ~shards:(shards_json t) t.metrics
 
   let floating = S.kind = Plr_util.Scalar.Floating
 
@@ -267,7 +255,7 @@ module Make (S : Plr_util.Scalar.S) = struct
     t.key_prefix ^ Signature.to_string S.to_string s
 
   (* Affinity routing: the canonical key string hashes to a home shard,
-     so a signature's plans, tunings, and JIT state concentrate on one
+     so a signature's plans and JIT state concentrate on one
      partition and every process routes identically. *)
   let home_shard t key = t.shards_.(fnv1a key mod Array.length t.shards_)
   let shard_of_signature t s = (home_shard t (cache_key t s)).sindex
@@ -302,36 +290,13 @@ module Make (S : Plr_util.Scalar.S) = struct
      exact plan the engine would have built for itself. *)
   let cpu_max_period = 64
 
-  let compile_entry t sh ~n (s : S.t Signature.t) =
+  let compile_entry t (s : S.t Signature.t) =
     let cfg = t.config in
     let k = Signature.order s in
     let stability = Stability.analyze (Signature.map S.to_float s) in
-    (* The schedule tuning: a registry hit, otherwise the serving
-       defaults.  The counters and the snapshot's attribution line record
-       which one this entry got. *)
-    let tuning, tuning_source, counter =
-      match Tune.Registry.find (TC.key ~n s) with
-      | Some tu -> (tu, Tune.Cached, t.metrics.Metrics.tune_cached)
-      | None ->
-          ( {
-              Tune.chunk_size = cfg.chunk_size;
-              domains = Pool.size sh.spool;
-              window =
-                Plr_multicore.Multicore.default_window
-                  ~pool_size:(Pool.size sh.spool);
-            },
-            Tune.Heuristic,
-            t.metrics.Metrics.tune_heuristic )
-    in
-    Metrics.Counter.incr counter;
-    Atomic.set t.last_tuning
-      (Printf.sprintf "%s (%s)"
-         (Tune.cpu_tuning_to_string tuning)
-         (Tune.cpu_source_to_string tuning_source));
-    (* The plan covers the larger of the serving and tuned chunk sizes,
-       so applying the tuning never forces a silent recompile inside
-       [Multicore.run]. *)
-    let m = max (max 1 k) (max cfg.chunk_size tuning.Tune.chunk_size) in
+    (* The plan covers the serving chunk size, the one every pooled run
+       uses, so [Multicore.run] never recompiles it. *)
+    let m = max (max 1 k) cfg.chunk_size in
     let plan =
       FP.of_feedback ~opts:cfg.opts ~max_period:cpu_max_period
         ~feedback:s.Signature.feedback ~m ()
@@ -356,16 +321,9 @@ module Make (S : Plr_util.Scalar.S) = struct
        and has already traced why — when the JIT is disabled, the
        scalar is unsupported, or no C toolchain exists. *)
     let jit = G.JB.prepare ~mode:`Async ~fplan:plan s in
-    { stability; plan; serial_cutoff; tuning; tuning_source; jit }
+    { stability; plan; serial_cutoff; jit }
 
-  let plan_on ?n t sh key s =
-    (* [n] sizes the tuning lookup; entries are cached per signature, so
-       the first request's length picks the bucket (serving mixes are
-       homogeneous per signature in practice).  The default is the first
-       pooled length, the path tunings matter for. *)
-    let n =
-      match n with Some n -> n | None -> t.config.parallel_threshold + 1
-    in
+  let plan_on t sh key s =
     match Plan_cache.find sh.scache key with
     | Some e ->
         Metrics.Counter.incr t.metrics.Metrics.plan_hits;
@@ -373,14 +331,14 @@ module Make (S : Plr_util.Scalar.S) = struct
     | None ->
         Metrics.Counter.incr t.metrics.Metrics.plan_misses;
         let t0 = now () in
-        let e = compile_entry t sh ~n s in
+        let e = compile_entry t s in
         Metrics.Histogram.observe t.metrics.Metrics.plan_build (now () -. t0);
         Plan_cache.add sh.scache key e;
         (e, false)
 
-  let plan_for ?n t s =
+  let plan_for ?n:_ t s =
     let key = cache_key t s in
-    plan_on ?n t (home_shard t key) key s
+    plan_on t (home_shard t key) key s
 
   let deadline_passed = function
     | None -> false
@@ -706,7 +664,7 @@ module Make (S : Plr_util.Scalar.S) = struct
   let recurrence_route ?faults t key s x attempt home =
     let faults = if attempt = 0 then faults else None in
     let n = Array.length x in
-    let entry, _ = plan_on ~n t home key s in
+    let entry, _ = plan_on t home key s in
     let kernel e = if faults = None then e.jit else None in
     let local () =
       Local
@@ -730,9 +688,8 @@ module Make (S : Plr_util.Scalar.S) = struct
           | _ ->
               let sh = exec_shard t home in
               let entry =
-                if sh == home then entry else fst (plan_on ~n t sh key s)
+                if sh == home then entry else fst (plan_on t sh key s)
               in
-              let tu = entry.tuning in
               Pooled
                 ( sh,
                   fun cancel ->
@@ -740,8 +697,7 @@ module Make (S : Plr_util.Scalar.S) = struct
                       ~fallback:
                         (G.multicore_runner ~opts:t.config.opts ?faults
                            ~plan:entry.plan ~cancel ~pool:sh.spool
-                           ~chunk_size:(max 1 tu.Tune.chunk_size)
-                           ~window:(max 1 tu.Tune.window) ()) ))
+                           ~chunk_size:(max 1 t.config.chunk_size) ()) ))
 
   let submit ?deadline ?faults t (s : S.t Signature.t) x =
     let key = cache_key t s in

@@ -6,7 +6,7 @@
     private domain pool, a plan-cache partition, and an execution queue.
     Requests route to a {b home shard} by a stable FNV-1a hash of their
     canonical cache key (signature × options × scalar), so a signature's
-    compiled plans, measured tunings, and JIT kernels concentrate on one
+    compiled plans and JIT kernels concentrate on one
     partition and stay hot.  When a home shard's queue depth reaches
     [config.steal_threshold] and another shard's queue is strictly
     shallower, the pooled execution is {b stolen} by the shallowest
@@ -24,8 +24,8 @@
     + resolves its {b compiled plan} through an LRU {!Plan_cache} keyed
       by canonicalized signature × {!Plr_factors.Opts.t} × scalar domain.
       A hit reuses the compiled {!Plr_factors.Factor_plan}, the
-      {!Plr_robust.Stability} verdict, and the tuned chunk-size/backend
-      choice; only a miss pays the O(ck²) precomputation;
+      {!Plr_robust.Stability} verdict, and the backend choice; only a
+      miss pays the O(ck²) precomputation;
     + honours its {b deadline}: a request whose absolute deadline passes
       before execution starts is cut with {!Deadline_exceeded} (never
       started, so it cannot occupy the pool);
@@ -82,8 +82,10 @@ type config = {
           rejected with {!Overloaded} (default 64) *)
   cache_capacity : int;  (** plan-cache entries (default 64) *)
   chunk_size : int;
-      (** serving chunk size; the cached factor plan is compiled once with
-          this many factors per list and reused for every request length
+      (** chunk size of every pooled run; the cached factor plan is
+          compiled once with this many factors per list and reused for
+          every request length.  The look-back window is always
+          {!Plr_exec.Lookback.default_window} for the shard's pool
           (default 4096) *)
   parallel_threshold : int;
       (** recurrence inputs longer than this run guarded, on the pooled
@@ -129,17 +131,12 @@ module Make (S : Plr_util.Scalar.S) : sig
   type entry = {
     stability : Stability.report;
     plan : Plr_factors.Factor_plan.Make(S).t;
-        (** compiled with [max config.chunk_size tuning.chunk_size]
-            factors per list, so applying the tuning never recompiles *)
+        (** compiled with [config.chunk_size] factors per list, the
+            chunk size of every pooled run, so a run never recompiles *)
     serial_cutoff : int;
         (** request lengths at or below this execute on the calling
             domain — the cached backend choice ([max_int] when the
             stability verdict predicts the parallel path is doomed) *)
-    tuning : Plr_core.Tune.cpu_tuning;
-        (** the schedule knobs pooled execution uses: a measured
-            tuning cached in {!Plr_core.Tune.Registry}, else the serving
-            defaults *)
-    tuning_source : Plr_core.Tune.cpu_source;
     jit : Plr_jit.Backend.Make(S).t option;
         (** the per-signature native kernel, compiling asynchronously
             off the same plan; [None] when the JIT is disabled, the
@@ -204,9 +201,8 @@ module Make (S : Plr_util.Scalar.S) : sig
   val plan_for : ?n:int -> t -> S.t Signature.t -> entry * bool
   (** [(entry, hit)]: the cached (or freshly compiled) plan entry for
       this signature.  Exposed for tests and warm-up; [submit] calls it
-      on every request.  [n] (default just past the parallel threshold)
-      sizes the tuning lookup on a miss; hits return the entry — and
-      the tuning — compiled for the first request's length. *)
+      on every request.  [n] is accepted and ignored: an entry does not
+      depend on the request length. *)
 
   val submit :
     ?deadline:float -> ?faults:Faults.plan -> t -> S.t Signature.t ->
@@ -234,8 +230,7 @@ module Make (S : Plr_util.Scalar.S) : sig
 
   val snapshot_json : t -> string
   (** {!Metrics.snapshot_json} with the per-shard stat rows (pool size,
-      queue depth, steals in/out, migrations, affinity hit rate) and the
-      most recently applied schedule tuning (with its source)
+      queue depth, steals in/out, migrations, affinity hit rate)
       included. *)
 
   module Session : module type of Session.Make (S)

@@ -1,13 +1,15 @@
 module Pool = Plr_exec.Pool
 module Trace = Plr_trace.Trace
-module Recoverable = Plr_exec.Recoverable
 
-type fault = Recoverable.fault =
+type fault =
   | Crash
   | Corrupt_state
   | Engine_fault of int (* seed of the injected engine fault plan *)
 
-let fault_to_string = Recoverable.fault_to_string
+let fault_to_string = function
+  | Crash -> "crash"
+  | Corrupt_state -> "corrupt-state"
+  | Engine_fault seed -> Printf.sprintf "engine-fault(seed %d)" seed
 
 module Make (S : Plr_util.Scalar.S) = struct
   module Stream = Plr_multicore.Stream.Make (S)
@@ -24,133 +26,206 @@ module Make (S : Plr_util.Scalar.S) = struct
     migrations : int;
   }
 
-  (* The recovered state: a stream on the session's pool (replaced only
-     by [migrate]) plus what a gap and a checkpoint need. *)
-  type filter = {
+  (* One journaled call. *)
+  type segment = Data of S.t array | Gap of int
+
+  (* A stream on the session's pool (replaced only by [migrate]), what a
+     gap and a checkpoint need, and the recovery state: the live state's
+     digest, the last good snapshot, and the segments processed since. *)
+  type t = {
     metrics : Metrics.t option;
     tol : float;
     comp : Companion.t;
+    every : int;
     mutable pool : Pool.t;
     mutable stream : Stream.t;
+    mutable digest : int; (* of the live state; a mismatch = corruption *)
+    mutable checkpoint : Checkpoint.t; (* last good snapshot *)
+    mutable journal : segment list; (* since the checkpoint, newest first *)
+    mutable armed : fault option;
+    mutable checkpoints : int;
+    mutable recoveries : int;
+    mutable detected : int;
+    mutable replayed : int;
     mutable fastforwards : int;
+    mutable migrations : int;
   }
 
-  type segment = Data of S.t array | Gap of int
+  let metric t g = match t.metrics with None -> () | Some m -> g m
+  let signature t = Stream.signature t.stream
+  let position t = Stream.position t.stream
+  let carries t = Stream.carries t.stream
 
-  let metric f g = match f.metrics with None -> () | Some m -> g m
+  let snapshot comp stream =
+    Checkpoint.make comp ~pos:(Stream.position stream)
+      ~carries:(Stream.carries stream) ~input_tail:(Stream.input_tail stream)
 
-  let process_data ?seed f x =
+  let live_digest t = (snapshot t.comp t.stream).Checkpoint.digest
+
+  let process_data ?seed t x =
     match seed with
-    | None -> Stream.process f.stream x
-    | Some seed -> Stream.process_faulted f.stream ~seed ~tol:f.tol x
+    | None -> Stream.process t.stream x
+    | Some seed -> Stream.process_faulted t.stream ~seed ~tol:t.tol x
 
   (* A gap of [n] zero inputs.  The FIR stage still reads the input tail
      for the first [taps - 1] steps, so that warm-up runs through the
      ordinary data path; the remainder is pure feedback on zero input —
      one O(k³ log g) companion skip-ahead instead of O(g) work. *)
-  let gap_advance f n =
-    let warm = min n (max 0 (Companion.taps f.comp - 1)) in
-    if warm > 0 then ignore (process_data f (Array.make warm S.zero));
+  let gap_advance t n =
+    let warm = min n (max 0 (Companion.taps t.comp - 1)) in
+    if warm > 0 then ignore (process_data t (Array.make warm S.zero));
     let g = n - warm in
     if g > 0 then begin
-      let st = f.stream in
+      let st = t.stream in
       let pos = Stream.position st in
       Trace.begin_span2 Trace.Serve "session.ff" pos g;
       Stream.restore st ~pos:(pos + g)
-        ~carries:(Companion.advance f.comp ~state:(Stream.carries st) ~steps:g)
+        ~carries:(Companion.advance t.comp ~state:(Stream.carries st) ~steps:g)
         ~input_tail:(Stream.input_tail st);
-      f.fastforwards <- f.fastforwards + 1;
-      metric f (fun m -> Metrics.Counter.incr m.Metrics.session_fastforwards);
+      t.fastforwards <- t.fastforwards + 1;
+      metric t (fun m -> Metrics.Counter.incr m.Metrics.session_fastforwards);
       Trace.end_span ()
     end
 
+  (* ------------------------------------------------------- recovery *)
+
   let poison = S.of_int 0x5EED_BAD
 
-  module R = Recoverable.Make (struct
-    type t = filter
-    type snapshot = Checkpoint.t
-    type nonrec segment = segment
+  (* The state faults: a crash poisons every state word and loses a
+     position (a lost position is part of losing memory); a corruption
+     flips one word.  Both strike before the call's work, and the digest
+     check then discovers them as it would real memory corruption. *)
+  let crash t =
+    let st = t.stream in
+    Stream.restore st ~pos:(position t + 1)
+      ~carries:(Array.map (fun _ -> poison) (Stream.carries st))
+      ~input_tail:(Array.map (fun _ -> poison) (Stream.input_tail st))
 
-    let position f = Stream.position f.stream
+  let corrupt t =
+    let st = t.stream in
+    let carries = Stream.carries st and input_tail = Stream.input_tail st in
+    let flip a = a.(0) <- S.add (S.mul a.(0) (S.of_int 3)) (S.of_int 41) in
+    if Array.length carries > 0 then flip carries
+    else if Array.length input_tail > 0 then flip input_tail;
+    Stream.restore st ~pos:(position t) ~carries ~input_tail
 
-    let snapshot f =
-      Checkpoint.make f.comp ~pos:(position f)
-        ~carries:(Stream.carries f.stream)
-        ~input_tail:(Stream.input_tail f.stream)
+  let checkpoint_now t =
+    Trace.begin_span2 Trace.Serve "session.checkpoint" (position t)
+      (List.length t.journal);
+    t.checkpoint <- snapshot t.comp t.stream;
+    t.journal <- [];
+    t.checkpoints <- t.checkpoints + 1;
+    metric t (fun m -> Metrics.Counter.incr m.Metrics.session_checkpoints);
+    Trace.end_span ()
 
-    let digest cp = cp.Checkpoint.digest
-    let valid = Checkpoint.valid
+  (* Restore the last checkpoint and bring the state back to the current
+     position by replaying the journal through the exact original code
+     path, so the rebuilt state is bit-identical.  Only the segments since
+     the last checkpoint are replayed, never the whole stream. *)
+  let recover t =
+    if not (Checkpoint.valid t.checkpoint) then
+      failwith "session: last checkpoint is corrupted, cannot recover";
+    let journal = List.rev t.journal in
+    let replayed =
+      List.fold_left
+        (fun acc -> function Data x -> acc + Array.length x | Gap _ -> acc)
+        0 journal
+    in
+    let cp = t.checkpoint in
+    Trace.begin_span2 Trace.Serve "session.recover" cp.Checkpoint.pos replayed;
+    Stream.restore t.stream ~pos:cp.Checkpoint.pos
+      ~carries:cp.Checkpoint.carries ~input_tail:cp.Checkpoint.input_tail;
+    List.iter
+      (function
+        | Data x -> ignore (process_data t x : S.t array)
+        | Gap n -> gap_advance t n)
+      journal;
+    t.recoveries <- t.recoveries + 1;
+    t.replayed <- t.replayed + replayed;
+    t.digest <- live_digest t;
+    metric t (fun m -> Metrics.Counter.incr m.Metrics.session_recoveries);
+    Trace.end_span ()
 
-    let restore f (cp : Checkpoint.t) =
-      Stream.restore f.stream ~pos:cp.Checkpoint.pos
-        ~carries:cp.Checkpoint.carries ~input_tail:cp.Checkpoint.input_tail
+  let detected t =
+    t.detected <- t.detected + 1;
+    recover t
 
-    let replay f = function
-      | Data x -> ignore (process_data f x : S.t array)
-      | Gap n -> gap_advance f n
+  (* Arm [fault], strike an armed state fault, check the live digest
+     (recovering on a mismatch), then run [f] with the seed of an armed
+     engine fault.  An engine fault that raises or diverges does so
+     before [f] commits any state; the state is rebuilt from the
+     checkpoint anyway (it is no longer trusted) and [f] re-runs
+     cleanly. *)
+  let step t fault f =
+    Option.iter (fun f -> t.armed <- Some f) fault;
+    (match t.armed with
+    | Some Crash ->
+        t.armed <- None;
+        crash t
+    | Some Corrupt_state ->
+        t.armed <- None;
+        corrupt t
+    | Some (Engine_fault _) | None -> ());
+    if live_digest t <> t.digest then detected t;
+    let seed =
+      match t.armed with
+      | Some (Engine_fault seed) ->
+          t.armed <- None;
+          Some seed
+      | _ -> None
+    in
+    match f seed with
+    | y -> y
+    | exception Plr_exec.Lookback.Fault_detected _ ->
+        detected t;
+        f None
 
-    let replayed = function Data x -> Array.length x | Gap _ -> 0
+  (* Snapshot once [every] elements have passed since the last snapshot,
+     else journal the segment, and re-digest the live state.  A segment
+     the snapshot would discard is never built. *)
+  let commit t seg =
+    if position t - t.checkpoint.Checkpoint.pos >= t.every then
+      checkpoint_now t
+    else t.journal <- seg () :: t.journal;
+    t.digest <- live_digest t
 
-    let crash f =
-      let st = f.stream in
-      (* a lost position is part of losing memory *)
-      Stream.restore st ~pos:(position f + 1)
-        ~carries:(Array.map (fun _ -> poison) (Stream.carries st))
-        ~input_tail:(Array.map (fun _ -> poison) (Stream.input_tail st))
+  (* ------------------------------------------------------------ API *)
 
-    let corrupt f =
-      let st = f.stream in
-      let carries = Stream.carries st and input_tail = Stream.input_tail st in
-      let flip a = a.(0) <- S.add (S.mul a.(0) (S.of_int 3)) (S.of_int 41) in
-      if Array.length carries > 0 then flip carries
-      else if Array.length input_tail > 0 then flip input_tail;
-      Stream.restore st ~pos:(position f) ~carries ~input_tail
-
-    let cat = Trace.Serve
-    let checkpoint_span = "session.checkpoint"
-    let recover_span = "session.recover"
-    let name = "session"
-  end)
-
-  type t = { r : R.t; f : filter; mutable migrations : int }
-
-  let create ?pool ?domains ?metrics ?checkpoint_every ?(tol = 1e-3)
+  let create ?pool ?domains ?metrics ?(checkpoint_every = 1024) ?(tol = 1e-3)
       (signature : S.t Signature.t) =
     let pool = match pool with Some p -> p | None -> Pool.get ?domains () in
-    let f =
-      {
-        metrics;
-        tol;
-        (* Compiled from the full signature so the checkpoint layer knows
-           the real FIR tap count; [advance] reads only the feedback. *)
-        comp = Companion.compile signature;
-        pool;
-        stream = Stream.create ~pool signature;
-        fastforwards = 0;
-      }
-    in
-    let count field () = metric f (fun m -> Metrics.Counter.incr (field m)) in
-    let r =
-      R.create ?checkpoint_every
-        ~on_checkpoint:(count (fun m -> m.Metrics.session_checkpoints))
-        ~on_recovery:(count (fun m -> m.Metrics.session_recoveries))
-        f
-    in
-    { r; f; migrations = 0 }
-
-  let signature t = Stream.signature t.f.stream
-  let position t = Stream.position t.f.stream
-  let carries t = Stream.carries t.f.stream
+    (* Compiled from the full signature so the checkpoint knows the real
+       FIR tap count; [advance] reads only the feedback. *)
+    let comp = Companion.compile signature in
+    let stream = Stream.create ~pool signature in
+    let checkpoint = snapshot comp stream in
+    {
+      metrics;
+      tol;
+      comp;
+      every = max 1 checkpoint_every;
+      pool;
+      stream;
+      digest = checkpoint.Checkpoint.digest;
+      checkpoint;
+      journal = [];
+      armed = None;
+      checkpoints = 0;
+      recoveries = 0;
+      detected = 0;
+      replayed = 0;
+      fastforwards = 0;
+      migrations = 0;
+    }
 
   let stats t =
-    let r = R.stats t.r in
     {
       position = position t;
-      checkpoints = r.R.checkpoints;
-      recoveries = r.R.recoveries;
-      fastforwards = t.f.fastforwards;
-      detected = r.R.detected;
-      replayed = r.R.replayed;
+      checkpoints = t.checkpoints;
+      recoveries = t.recoveries;
+      fastforwards = t.fastforwards;
+      detected = t.detected;
+      replayed = t.replayed;
       migrations = t.migrations;
     }
 
@@ -162,27 +237,27 @@ module Make (S : Plr_util.Scalar.S) = struct
      original code path, so the rebuilt state is bit-identical to the
      pre-migration state and the stream's outputs are unaffected. *)
   let migrate t ~pool =
-    if pool != t.f.pool then begin
+    if pool != t.pool then begin
       Trace.begin_span2 Trace.Serve "session.migrate" (position t)
-        (R.pending t.r);
+        (List.length t.journal);
       Fun.protect ~finally:Trace.end_span @@ fun () ->
-      t.f.pool <- pool;
-      t.f.stream <- Stream.create ~pool (signature t);
-      R.recover t.r;
+      t.pool <- pool;
+      t.stream <- Stream.create ~pool (signature t);
+      recover t;
       t.migrations <- t.migrations + 1;
-      metric t.f (fun m -> Metrics.Counter.incr m.Metrics.session_migrations)
+      metric t (fun m -> Metrics.Counter.incr m.Metrics.session_migrations)
     end
 
   let process ?fault t x =
-    let y = R.step t.r fault (fun seed -> process_data ?seed t.f x) in
-    if Array.length x > 0 then R.commit t.r (fun () -> Data (Array.copy x));
+    let y = step t fault (fun seed -> process_data ?seed t x) in
+    if Array.length x > 0 then commit t (fun () -> Data (Array.copy x));
     y
 
   let skip ?fault t n =
     if n < 0 then invalid_arg "Session.skip: negative gap";
-    R.step t.r fault ignore;
+    step t fault ignore;
     if n > 0 then begin
-      gap_advance t.f n;
-      R.commit t.r (fun () -> Gap n)
+      gap_advance t n;
+      commit t (fun () -> Gap n)
     end
 end

@@ -4,8 +4,7 @@
     A session is a {!Plr_multicore.Stream} (the stateful filter: chunks
     arrive over time, the recurrence state — output carries + FIR input
     tail — flows across calls, and the concatenated outputs are exactly
-    one offline pass) wrapped in the shared recovery layer
-    {!Plr_exec.Recoverable}:
+    one offline pass) with checkpoint, journal and replay recovery:
 
     - every state word is covered by a {b digest}; a snapshot
       ({!Plr_robust.Companion.Make.Checkpoint}) is taken every
@@ -31,7 +30,7 @@
     [session.ff]) let tests prove recovery used checkpoint +
     fast-forward, not full replay. *)
 
-type fault = Plr_exec.Recoverable.fault =
+type fault =
   | Crash  (** lose the in-memory state before the next call's work *)
   | Corrupt_state  (** silently flip one live state word *)
   | Engine_fault of int

@@ -6,6 +6,8 @@
      Table-1 filters, [plr_jit_run] vs the serial reference (bitwise, the
      JIT's contract) and [plr_jit_run_chunked] vs the OCaml sequential
      fallback at the same chunk size (bitwise — identical op order);
+   - fresh kernels first used on NaNs and infinities, which must
+     validate (any NaN agrees with any NaN);
    - degradation pins: disabled env, missing toolchain, compile failure,
      and first-use mismatch poisoning, each answering [None]/fallback with
      a [jit.fallback] trace instant, with [Guard.jit_runner] still
@@ -218,6 +220,31 @@ module Sweep (S : Scalar.S) = struct
                        [ k - 1; k; k + 1; pro - 1; pro; pro + 1; 2000 ]))))
           sigs
     | _ -> ()
+
+  (* Fresh kernels whose first input is an edge input: NaNs of both signs
+     and +-inf (whose sum is a NaN) meet in the kernel's adds, where the C
+     compiler's operand order decides which NaN propagates.  The first-use
+     check takes any NaN for any NaN, so every kernel validates on that
+     input; comparing NaN bits would poison correct kernels. *)
+  let edge_first_use sigs =
+    match S.rep with
+    | Scalar.Float_rep _ ->
+        let g = Splitmix.create 0xf125e in
+        let edges = [| Float.nan; -.Float.nan; infinity; neg_infinity; 0.5 |] in
+        List.iter
+          (fun (s : S.t Signature.t) ->
+            let jb = jit_for ~m:97 s in
+            let x = Array.init 64 (fun _ -> edges.(Splitmix.int g ~bound:5)) in
+            let what =
+              Printf.sprintf "%s first use k=%d taps=%d" S.ctype
+                (Signature.order s) (Signature.fir_taps s)
+            in
+            (match JB.run jb x with
+            | Some y -> check_bitwise ~any_nan:true ~what (Serial.full s x) y
+            | None -> Alcotest.failf "%s: the kernel was poisoned" what);
+            check_bool (what ^ ": validated") true (JB.validated jb))
+          sigs
+    | _ -> ()
 end
 
 module Sweep_int = Sweep (Scalar.Int)
@@ -252,6 +279,18 @@ let test_sweep_f64 () =
     List.map (fun e -> e.Table1.signature) Table1.float_entries
   in
   Sweep_f64.sweep ~extra_sigs:table1 ()
+
+(* Twenty-four fresh F32 kernels, orders 1 to 3 with one to three taps,
+   each first used on NaNs of both signs and infinities. *)
+let test_first_use_edge_input () =
+  skip_without_cc ();
+  let g = Splitmix.create 0xf1257 in
+  let coeff () = Plr_util.F32.round (Splitmix.float_in g ~lo:0.1 ~hi:0.9) in
+  Sweep_f32.edge_first_use
+    (List.init 24 (fun i ->
+         float_sig
+           (Array.init (1 + (i mod 3)) (fun _ -> coeff ()))
+           (Array.init (1 + (i / 3 mod 3)) (fun _ -> coeff ()))))
 
 (* ------------------------------------------------ run_into contract *)
 
@@ -407,6 +446,8 @@ let () =
           Alcotest.test_case "int sweep" `Quick test_sweep_int;
           Alcotest.test_case "f32 sweep (Table 1)" `Quick test_sweep_f32;
           Alcotest.test_case "f64 sweep (Table 1)" `Quick test_sweep_f64;
+          Alcotest.test_case "f32 first use on NaNs and infinities" `Quick
+            test_first_use_edge_input;
           Alcotest.test_case "run_into rejects a bad dst" `Quick
             test_run_into_contract;
         ] );

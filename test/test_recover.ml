@@ -2,10 +2,14 @@
    bitwise against serial replay, checkpoint integrity, streaming
    sessions that recover from injected crashes / state corruption /
    engine faults by restoring the last checkpoint and fast-forwarding
-   (pinned via trace spans — never a full replay), the serve layer's
-   retry policy, the per-signature circuit breaker's
+   (pinned via trace spans — never a full replay), a shrinking property
+   over session recovery under several faults, gaps and migrations, the
+   serve layer's retry policy, the per-signature circuit breaker's
    trip → open → half-open → closed walk, and mid-flight deadline
-   cancellation. *)
+   cancellation.
+
+   The property runs 100 cases per scalar, 1000 with [QCHECK_LONG=1];
+   [QCHECK_SEED=N] fixes its seed. *)
 
 module Scalar = Plr_util.Scalar
 module Splitmix = Plr_util.Splitmix
@@ -218,6 +222,169 @@ let test_session_engine_fault_detected () =
   Alcotest.(check (array int)) "bitwise identical to serial" want y;
   let st = Ses_i.stats sess in
   Alcotest.(check bool) "fault detected" true (st.Ses_i.detected >= 1)
+
+(* A shrinking property over session recovery: a random signature, data
+   pieces, several faults of every kind at random pieces, migrations
+   between a one-domain and a two-domain pool at random points, and a
+   small checkpoint cadence.  Int streams also take gaps; F32 streams
+   take none, since companion skip-ahead is exact only to rounding.  The
+   outputs are bitwise [Serial.full] over the inputs with every gap as
+   zeros, and every state fault is detected. *)
+module Recovery_prop (S : Plr_util.Scalar.S) = struct
+  module Ses = Session.Make (S)
+  module Ser = Plr_serial.Serial.Make (S)
+
+  type seg = Data of S.t array | Gap of int
+  type step = { seg : seg; fault : Session.fault option; migrate : bool }
+
+  type case = {
+    forward : S.t array;
+    feedback : S.t array;
+    every : int;
+    steps : step list;
+  }
+
+  let floating = S.kind = Scalar.Floating
+
+  let show_array a =
+    "[|" ^ String.concat "; " (Array.to_list (Array.map S.to_string a)) ^ "|]"
+
+  let print c =
+    let step st =
+      Printf.sprintf "%s%s%s"
+        (match st.seg with
+        | Data x -> "data " ^ show_array x
+        | Gap g -> Printf.sprintf "gap %d" g)
+        (match st.fault with
+        | None -> ""
+        | Some f -> " fault " ^ Session.fault_to_string f)
+        (if st.migrate then " then migrate" else "")
+    in
+    Printf.sprintf "forward %s feedback %s every %d\n  %s"
+      (show_array c.forward) (show_array c.feedback) c.every
+      (String.concat "\n  " (List.map step c.steps))
+
+  let gen =
+    let open QCheck2.Gen in
+    let coeff =
+      if floating then map S.of_float (float_range (-1.0) 1.0)
+      else map S.of_int (int_range (-2) 2)
+    in
+    (* Feedback stays stable for floats, and the last coefficient of
+       each list is nonzero. *)
+    let last =
+      if floating then
+        map2
+          (fun m neg -> S.of_float (if neg then -.m else m))
+          (float_range 0.05 0.3) bool
+      else map S.of_int (oneofl [ -2; -1; 1; 2 ])
+    in
+    let fb_coeff =
+      if floating then map S.of_float (float_range (-0.3) 0.3) else coeff
+    in
+    let coeffs c n =
+      map2
+        (fun a l -> Array.append a [| l |])
+        (array_size (return (n - 1)) c)
+        last
+    in
+    let input =
+      if floating then map S.of_float (float_range (-1.0) 1.0)
+      else map S.of_int (int_range (-9) 9)
+    in
+    let data = map (fun x -> Data x) (array_size (int_range 0 300) input) in
+    let seg =
+      if floating then data
+      else frequency [ (4, data); (1, map (fun g -> Gap g) (int_range 0 2000)) ]
+    in
+    let fault =
+      frequency
+        [ (5, return None);
+          (1, return (Some Session.Crash));
+          (1, return (Some Session.Corrupt_state));
+          (1, map (fun s -> Some (Session.Engine_fault s)) (int_range 0 9999)) ]
+    in
+    let step =
+      map3
+        (fun seg fault migrate -> { seg; fault; migrate })
+        seg fault (frequency [ (4, return false); (1, return true) ])
+    in
+    let* k = int_range 1 3 in
+    let* taps = int_range 1 3 in
+    let* forward = coeffs coeff taps in
+    let* feedback = coeffs fb_coeff k in
+    let* every = int_range 1 200 in
+    let+ steps = list_size (int_range 1 12) step in
+    { forward; feedback; every; steps }
+
+  let same (u : S.t) (v : S.t) =
+    match S.rep with
+    | Scalar.Float_rep _ -> Int64.bits_of_float u = Int64.bits_of_float v
+    | _ -> S.equal u v
+
+  let holds c =
+    let s =
+      Signature.create ~is_zero:S.is_zero ~forward:c.forward
+        ~feedback:c.feedback
+    in
+    let pools =
+      [| Plr_exec.Pool.get ~domains:1 (); Plr_exec.Pool.get ~domains:2 () |]
+    in
+    let sess = Ses.create ~pool:pools.(0) ~checkpoint_every:c.every s in
+    let on = ref 0 and state_faults = ref 0 in
+    (* Each piece's input (a gap's zeros) with its output, if any. *)
+    let pieces =
+      List.map
+        (fun st ->
+          (match st.fault with
+          | Some (Session.Crash | Session.Corrupt_state) -> incr state_faults
+          | _ -> ());
+          let piece =
+            match st.seg with
+            | Data x -> (x, Some (Ses.process ?fault:st.fault sess x))
+            | Gap g ->
+                Ses.skip ?fault:st.fault sess g;
+                (Array.make g S.zero, None)
+          in
+          if st.migrate then begin
+            on := 1 - !on;
+            Ses.migrate sess ~pool:pools.(!on)
+          end;
+          piece)
+        c.steps
+    in
+    let expected = Ser.full s (Array.concat (List.map fst pieces)) in
+    let pos = ref 0 in
+    List.iter
+      (fun (x, out) ->
+        Option.iter
+          (fun y ->
+            Array.iteri
+              (fun j v ->
+                if not (same expected.(!pos + j) v) then
+                  QCheck2.Test.fail_reportf "output %d = %s, Serial.full = %s"
+                    (!pos + j) (S.to_string v)
+                    (S.to_string expected.(!pos + j)))
+              y)
+          out;
+        pos := !pos + Array.length x)
+      pieces;
+    let st = Ses.stats sess in
+    if st.Ses.position <> !pos then
+      QCheck2.Test.fail_reportf "position %d after %d elements" st.Ses.position
+        !pos;
+    if st.Ses.detected < !state_faults then
+      QCheck2.Test.fail_reportf "%d state faults injected, %d detected"
+        !state_faults st.Ses.detected;
+    true
+
+  let test name =
+    QCheck_alcotest.to_alcotest
+      (QCheck2.Test.make ~name ~count:100 ~long_factor:10 ~print gen holds)
+end
+
+module Recovery_int = Recovery_prop (Scalar.Int)
+module Recovery_f32 = Recovery_prop (Scalar.F32)
 
 (* ----------------------------------------------------- retry + breaker *)
 
@@ -440,7 +607,9 @@ let () =
           Alcotest.test_case "recovery is checkpoint + fast-forward" `Quick
             test_session_recovery_is_incremental;
           Alcotest.test_case "engine fault detected and recovered" `Quick
-            test_session_engine_fault_detected ] );
+            test_session_engine_fault_detected;
+          Recovery_int.test "int faults, gaps and migrations = Serial.full";
+          Recovery_f32.test "f32 faults and migrations = Serial.full" ] );
       ( "serve",
         [ Alcotest.test_case "breaker trip/open/half-open/closed" `Quick
             test_breaker_walk;

@@ -136,15 +136,6 @@ let test_guard_unstable_int_wraps_exactly () =
   Alcotest.(check bool) "class is unstable" true
     (o.Guard_i.stability.Stability.cls = Stability.Unstable)
 
-let test_guard_stream_backend () =
-  let s = int_sig [| 2; 1 |] [| 2; -1 |] in
-  let input = random_ints 3000 in
-  let o =
-    Guard_i.run ~check:Guard.Full (Guard_i.stream_runner ~buffer:256 ()) s input
-  in
-  Alcotest.(check bool) "ok" true o.Guard_i.ok;
-  check_ints "stream output is serial" (Si.full s input) o.Guard_i.output
-
 let test_guard_gpusim_backend () =
   let s = int_sig [| 1 |] [| 3; -3; 1 |] in
   let input = random_ints 2048 in
@@ -630,7 +621,6 @@ let () =
             test_guard_unstable_float_flags;
           Alcotest.test_case "unstable int wraps exactly" `Quick
             test_guard_unstable_int_wraps_exactly;
-          Alcotest.test_case "stream backend" `Quick test_guard_stream_backend;
           Alcotest.test_case "gpusim backend" `Quick test_guard_gpusim_backend;
         ] );
       ( "chaos",

@@ -1,18 +1,16 @@
 (* Tests for the time-varying scan subsystem (lib/scan): serial
    reference, run-length sparse fast path, the chunked multicore
    look-back engine (bitwise determinism across schedules), the
-   deterministic faulted pipeline, streaming sessions with
-   checkpoint/replay recovery, the chaos Scan target, the serve front
-   door, the `plr scan` CLI error paths and bitwise validation, and a
-   shrinking property holding every sparse and serial evaluator to the
-   boxed [serial].
+   deterministic faulted pipeline, the chaos Scan target, the serve
+   front door, the `plr scan` CLI error paths and bitwise validation,
+   and shrinking properties holding every sparse and serial evaluator,
+   and a one-chunk run, to the boxed [serial].
 
    The property runs 300 cases per scalar, 3000 with [QCHECK_LONG=1];
    [QCHECK_SEED=N] fixes its seed. *)
 
 module Scalar = Plr_util.Scalar
 module Splitmix = Plr_util.Splitmix
-module Buf = Plr_util.Buf
 module Pool = Plr_exec.Pool
 module Faults = Plr_gpusim.Faults
 module Chaos = Plr_robust.Chaos
@@ -287,31 +285,62 @@ let test_multicore_randomized_sweep () =
   done;
   Pool.shutdown pool
 
-let test_run_into_zero_alloc () =
-  let pool = Pool.create ~domains:2 () in
-  let n = 65536 in
+(* Beyond its output, a warmed float [run] allocates per chunk (carries,
+   tasks, the protocol's state), not per element: the kernels run on the
+   caller's arrays, with no staging copy and no boxed float.  A
+   one-domain pool runs every chunk on this domain, whose own counters
+   are exact; the output is one major-heap block of n + 1 words. *)
+let test_run_float_alloc () =
+  let pool = Pool.create ~domains:1 () in
+  let n = 65536 and chunk_size = 4096 in
   let a, b = gen_float ~seed:5 n in
-  let ab = Buf.of_array a and bb = Buf.of_array b in
-  let dst = Buf.create n in
-  let run () = Sc_f.run_into ~pool ~chunk_size:4096 ab bb ~dst in
-  run ();
-  run ();
-  (* warmed *)
-  let before = Gc.minor_words () in
-  run ();
-  let delta = Gc.minor_words () -. before in
-  if delta > 20000.0 then
+  let run () = Sc_d.run ~pool ~chunk_size a b in
+  ignore (run ());
+  ignore (run ());
+  let minor0 = Gc.minor_words ()
+  and major0 = (Gc.quick_stat ()).Gc.major_words in
+  let y = run () in
+  let words =
+    Gc.minor_words () -. minor0
+    +. ((Gc.quick_stat ()).Gc.major_words -. major0)
+    -. float_of_int (n + 1)
+  in
+  if words > 20000.0 then
     Alcotest.failf
-      "warmed run_into allocated %.0f minor words for n=%d (per-element \
-       allocation crept back in)"
-      delta n;
-  bitwise_floats "run_into output (tolerant chunks: int-valued streams)"
-    (Sc_f.run ~pool ~chunk_size:4096 a b)
-    (Buf.to_array dst);
-  check_bool "non-float scalars rejected" true
-    (match Sc_i.run_into ab bb ~dst with
-    | exception Invalid_argument _ -> true
-    | _ -> false);
+      "warmed float run allocated %.0f words beyond its %d-element output \
+       (per-element allocation crept back in)"
+      words n;
+  bitwise_floats "int-valued streams: bitwise serial" (Sc_d.serial a b) y;
+  Pool.shutdown pool
+
+(* A one-chunk float run has no carry to fold: it is the serial chain,
+   so it is bitwise [serial] even where two NaNs meet in a product, whose
+   result carries its first operand's payload ([a.(i)], as in the boxed
+   [S.mul a.(i) y]).  Every [a.(i)] and [y0] is a NaN with a payload of
+   its own.  Where every [a.(i)] is a NaN, a chunk's output does not
+   depend on its carry either, so the multi-chunk run agrees too. *)
+let test_nan_payloads () =
+  let n = 64 in
+  let nan_with shift p =
+    Int64.float_of_bits
+      (Int64.logor 0x7FF8_0000_0000_0000L
+         (Int64.shift_left (Int64.of_int p) shift))
+  in
+  let pool = Pool.create ~domains:2 () in
+  let case name ~shift ~serial ~run =
+    let a = Array.init n (fun i -> nan_with shift (1 + i)) in
+    let b = Array.init n (fun i -> if i mod 3 = 0 then -0.0 else 0.5) in
+    let y0 = nan_with shift 0x1BEEF in
+    let expected = serial ~y0 a b in
+    bitwise_floats (name ^ " one chunk") expected (run ~y0 ~chunk_size:n a b);
+    bitwise_floats (name ^ " 16-element chunks") expected
+      (run ~y0 ~chunk_size:16 a b)
+  in
+  case "f64" ~shift:0 ~serial:(fun ~y0 a b -> Sc_d.serial ~y0 a b)
+    ~run:(fun ~y0 ~chunk_size a b -> Sc_d.run ~pool ~y0 ~chunk_size a b);
+  (* F32 keeps the top 22 payload bits through its binary32 rounding. *)
+  case "f32" ~shift:29 ~serial:(fun ~y0 a b -> Sc_f.serial ~y0 a b)
+    ~run:(fun ~y0 ~chunk_size a b -> Sc_f.run ~pool ~y0 ~chunk_size a b);
   Pool.shutdown pool
 
 (* ------------------------------------------------------ faulted runs *)
@@ -380,182 +409,6 @@ let test_chaos_scan_campaign () =
     (List.exists
        (fun t -> match t.Chaos_i.outcome with Chaos.Degraded _ -> true | _ -> false)
        trials)
-
-(* ------------------------------------------------------------- stream *)
-
-let test_stream_bitwise () =
-  let n = 5000 in
-  let a, b = gen_int ~seed:41 n in
-  let expected = Sc_i.serial a b in
-  let t = Sc_i.Stream.create ~checkpoint_every:512 () in
-  let out = Array.make n 0 in
-  let g = Splitmix.create 99 in
-  let i = ref 0 in
-  while !i < n do
-    let len = min (n - !i) (1 + Splitmix.int g ~bound:700) in
-    let y =
-      Sc_i.Stream.process t (Array.sub a !i len) (Array.sub b !i len)
-    in
-    Array.blit y 0 out !i len;
-    i := !i + len
-  done;
-  check_ints "stream pieces = serial" expected out;
-  check_int "position" n (Sc_i.Stream.position t);
-  check_int "final value" expected.(n - 1) (Sc_i.Stream.value t);
-  check_bool "checkpoints were taken" true
-    ((Sc_i.Stream.stats t).Sc_i.Stream.checkpoints > 0);
-  (* Float streams are bitwise serial too: pieces evaluate serially from
-     the exact carry. *)
-  let fa, fb = gen_float ~seed:42 1000 in
-  let ft = Sc_f.Stream.create () in
-  let fout = Array.make 1000 0.0 in
-  List.iter
-    (fun (off, len) ->
-      let y =
-        Sc_f.Stream.process ft (Array.sub fa off len) (Array.sub fb off len)
-      in
-      Array.blit y 0 fout off len)
-    [ (0, 333); (333, 1); (334, 666) ];
-  bitwise_floats "float stream = serial" (Sc_f.serial fa fb) fout
-
-let test_stream_skip_and_fast_forward () =
-  (* skip n = n identity steps; fast_forward (a_prod, b_fold) = the
-     composed operator of the skipped segment. *)
-  let pre_a, pre_b = gen_int ~seed:51 200 in
-  let gap_a, gap_b = gen_int ~seed:52 300 in
-  let post_a, post_b = gen_int ~seed:53 200 in
-  let concat x y z = Array.concat [ x; y; z ] in
-  let full_a = concat pre_a gap_a post_a
-  and full_b = concat pre_b gap_b post_b in
-  let expected = Sc_i.serial full_a full_b in
-  (* Compose the gap's operator pair by folding it. *)
-  let ap = ref 1 and bf = ref 0 in
-  Array.iteri
-    (fun i ai ->
-      ap := ai * !ap;
-      bf := (ai * !bf) + gap_b.(i))
-    gap_a;
-  let t = Sc_i.Stream.create () in
-  ignore (Sc_i.Stream.process t pre_a pre_b);
-  Sc_i.Stream.fast_forward t ~a_prod:!ap ~b_fold:!bf ~steps:300;
-  let y = Sc_i.Stream.process t post_a post_b in
-  check_int "position after ff" 700 (Sc_i.Stream.position t);
-  check_ints "fast-forward = serial over the gap"
-    (Array.sub expected 500 200)
-    y;
-  check_bool "ff counted" true
-    ((Sc_i.Stream.stats t).Sc_i.Stream.fastforwards > 0);
-  (* An identity gap is a skip: the carry is unchanged. *)
-  let t2 = Sc_i.Stream.create () in
-  ignore (Sc_i.Stream.process t2 pre_a pre_b);
-  let before = Sc_i.Stream.value t2 in
-  Sc_i.Stream.skip t2 1_000_000;
-  check_int "skip preserves the carry" before (Sc_i.Stream.value t2);
-  check_int "skip advances the position" 1_000_200
-    (Sc_i.Stream.position t2)
-
-(* A float identity gap is bitwise its identity steps spelled out: the
-   first step turns a -0.0 carry into +0.0 (1*-0 + +0 = +0) and rounds
-   an F32 carry that is not a binary32 value; the later ones keep it. *)
-let test_stream_skip_float () =
-  List.iter
-    (fun y0 ->
-      let expected =
-        Sc_f.serial ~y0 [| 1.0; 1.0; 1.0; 1.0 |] [| 0.0; 0.0; 0.0; -0.0 |]
-      in
-      let t = Sc_f.Stream.create ~y0 () in
-      Sc_f.Stream.skip t 3;
-      let after_skip = Sc_f.Stream.value t in
-      let y = Sc_f.Stream.process t [| 1.0 |] [| -0.0 |] in
-      bitwise_floats
-        (Printf.sprintf "skip 3 from y0 = %h, then one step" y0)
-        (Array.sub expected 2 2) [| after_skip; y.(0) |])
-    [ -0.0; 0.1 ]
-
-let test_stream_recovery () =
-  let n = 4000 in
-  let a, b = gen_int ~seed:61 n in
-  let expected = Sc_i.serial a b in
-  List.iter
-    (fun fault ->
-      let t = Sc_i.Stream.create ~checkpoint_every:256 () in
-      let out = Array.make n 0 in
-      let piece = 500 in
-      let i = ref 0 and k = ref 0 in
-      while !i < n do
-        let len = min piece (n - !i) in
-        (* arm the fault on every other piece *)
-        let fault = if !k mod 2 = 1 then Some fault else None in
-        let y =
-          Sc_i.Stream.process ?fault t (Array.sub a !i len)
-            (Array.sub b !i len)
-        in
-        Array.blit y 0 out !i len;
-        i := !i + len;
-        incr k
-      done;
-      let what = Sc_i.Stream.fault_to_string fault in
-      check_ints (what ^ ": outputs stay bitwise serial") expected out;
-      let stats = Sc_i.Stream.stats t in
-      check_bool (what ^ ": faults were detected") true
-        (stats.Sc_i.Stream.detected > 0);
-      check_bool (what ^ ": recovery ran") true
-        (stats.Sc_i.Stream.recoveries > 0))
-    [ Sc_i.Stream.Crash; Sc_i.Stream.Corrupt_state ];
-  (* Engine faults: the piece solves under an injected plan, is verified
-     whole against the serial reference before any state commits, and a
-     detected divergence replays cleanly. *)
-  let t = Sc_i.Stream.create ~checkpoint_every:256 () in
-  let out = Array.make n 0 in
-  let piece = 500 in
-  let i = ref 0 and k = ref 0 in
-  while !i < n do
-    let len = min piece (n - !i) in
-    let fault = Some (Sc_i.Stream.Engine_fault (7000 + !k)) in
-    let y =
-      Sc_i.Stream.process ?fault t (Array.sub a !i len) (Array.sub b !i len)
-    in
-    Array.blit y 0 out !i len;
-    i := !i + len;
-    incr k
-  done;
-  check_ints "engine faults: outputs stay bitwise serial" expected out
-
-(* An engine fault only detects.  A faulted piece whose engine run passes
-   its check, like one that fails it, commits the clean [sparse] output:
-   over 200 fault seeds at piece 1, a one-domain F32 stream stays bitwise
-   [serial].  The coefficients are not integers, so the engine's
-   reassociated sums round differently from the chain's. *)
-let test_stream_engine_fault_clean () =
-  let n = 4096 in
-  let g = Splitmix.create 43 in
-  let draw lo hi =
-    Array.init (3 * n) (fun _ -> Plr_util.F32.round (Splitmix.float_in g ~lo ~hi))
-  in
-  let a = draw 0.5 1.0 in
-  let b = draw (-1.0) 1.0 in
-  let expected = Sc_f.serial a b in
-  let bad = ref [] in
-  for seed = 0 to 199 do
-    let t = Sc_f.Stream.create ~domains:1 () in
-    let out =
-      Array.concat
-        (List.init 3 (fun p ->
-             let fault =
-               if p = 1 then Some (Sc_f.Stream.Engine_fault seed) else None
-             in
-             Sc_f.Stream.process ?fault t (Array.sub a (p * n) n)
-               (Array.sub b (p * n) n)))
-    in
-    if
-      not
-        (Array.for_all2
-           (fun u v -> Int64.bits_of_float u = Int64.bits_of_float v)
-           expected out)
-    then bad := seed :: !bad
-  done;
-  Alcotest.(check (list int)) "seeds whose stream left serial" []
-    (List.rev !bad)
 
 (* -------------------------------------------------------------- serve *)
 
@@ -710,6 +563,14 @@ module Scan_props (S : Scalar.S) = struct
     check "serial_into" (into (fun dst -> Sc.serial_into ~y0 c.a c.b ~dst));
     true
 
+  (* A one-chunk run is the chunked engine's chain kernel alone. *)
+  let one_chunk_agrees c =
+    let expected = Sc.serial ~y0:c.y0 c.a c.b
+    and got = Sc.run ~y0:c.y0 ~chunk_size:(max 1 (Array.length c.a)) c.a c.b in
+    bitwise expected got
+    || QCheck2.Test.fail_reportf "run = %s, serial = %s" (show_array got)
+         (show_array expected)
+
   let tests =
     let scalar =
       match S.rep with
@@ -718,7 +579,9 @@ module Scan_props (S : Scalar.S) = struct
       | _ -> S.ctype
     in
     [ qcheck ~name:(scalar ^ " sparse and serial_into = serial") ~print gen
-        agrees ]
+        agrees;
+      qcheck ~name:(scalar ^ " one-chunk run = serial") ~print gen
+        one_chunk_agrees ]
 end
 
 module Props_int = Scan_props (Scalar.Int)
@@ -791,25 +654,15 @@ let () =
             test_multicore_float_determinism;
           Alcotest.test_case "randomized sweep" `Quick
             test_multicore_randomized_sweep;
-          Alcotest.test_case "warmed run_into does not allocate" `Quick
-            test_run_into_zero_alloc;
+          Alcotest.test_case "warmed float run allocates per chunk" `Quick
+            test_run_float_alloc;
+          Alcotest.test_case "NaN payloads are bitwise serial" `Quick
+            test_nan_payloads;
         ] );
       ( "faults",
         [
           Alcotest.test_case "pinned fault plans" `Quick test_faulted_pins;
           Alcotest.test_case "chaos campaign" `Quick test_chaos_scan_campaign;
-        ] );
-      ( "stream",
-        [
-          Alcotest.test_case "pieces are bitwise serial" `Quick
-            test_stream_bitwise;
-          Alcotest.test_case "skip and fast-forward" `Quick
-            test_stream_skip_and_fast_forward;
-          Alcotest.test_case "float skip is bitwise serial" `Quick
-            test_stream_skip_float;
-          Alcotest.test_case "checkpoint recovery" `Quick test_stream_recovery;
-          Alcotest.test_case "engine fault commits the clean output" `Quick
-            test_stream_engine_fault_clean;
         ] );
       ( "serve",
         [ Alcotest.test_case "submit_scan" `Quick test_serve_submit_scan ] );

@@ -672,6 +672,33 @@ let test_validated_kernel_skips_pool () =
   if not (round () || round () || round ()) then
     Alcotest.fail "the kernel's request waited for the pooled one"
 
+(* A pooled request runs the configured schedule: the entry's factor
+   plan covers [config.chunk_size] whatever length [plan_for] is told
+   (the argument is ignored), the pooled engine's output is bitwise
+   [Serial.full], and the snapshot carries no schedule-tuning field.
+   The JIT is off so that the request takes the pool. *)
+module FPi = Plr_factors.Factor_plan.Make (Scalar.Int)
+
+let test_pooled_plan_is_configured () =
+  with_jit_off @@ fun () ->
+  let config =
+    { Serve.default_config with Serve.parallel_threshold = 4096; chunk_size = 1024 }
+  in
+  let server = Srv_i.create ~config ~domains:2 () in
+  let s = int_sig [| 1 |] [| 2; -1 |] in
+  let entry, hit = Srv_i.plan_for ~n:(1 lsl 26) server s in
+  Alcotest.(check bool) "first lookup compiles" false hit;
+  Alcotest.(check int) "plan covers config.chunk_size" 1024
+    entry.Srv_i.plan.FPi.m;
+  let x = random_input 64 8192 in
+  (match Srv_i.submit server s x with
+  | Ok y -> Alcotest.(check (array int)) "pooled output bitwise" (Si.full s x) y
+  | Error e -> Alcotest.failf "submit: %s" (Serve.error_to_string e));
+  Alcotest.(check int) "ran on the pool" 1
+    (Srv_i.shard_stats server).(0).Srv_i.st_pooled_home;
+  Alcotest.(check bool) "no tuning field" false
+    (contains ~needle:{|"tuning"|} (Srv_i.snapshot_json server))
+
 (* Every served scan is [sparse]'s chain, bitwise the serial scan, on a
    two-domain pool above [parallel_threshold] too. *)
 let test_scan_bitwise_serial () =
@@ -795,6 +822,8 @@ let () =
       ( "routing",
         [ Alcotest.test_case "validated kernel skips the pool" `Quick
             test_validated_kernel_skips_pool;
+          Alcotest.test_case "pooled plan is the configured one" `Quick
+            test_pooled_plan_is_configured;
           Alcotest.test_case "32768-element scan is bitwise serial" `Quick
             test_scan_bitwise_serial;
           test_cache_key_text ] );

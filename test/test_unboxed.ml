@@ -1,11 +1,9 @@
-(* Tests for the unboxed float64 storage path and the measured CPU
-   autotuner: Buf primitives, a randomized cross-backend bitwise
-   equivalence sweep (every storage path must reproduce the boxed serial
-   reference bit for bit), a shrinking property over the
-   order-specialized kernels and sweeps at edge values, the [*_into]
-   buffer contract, a steady-state allocation pin on the unboxed entry
-   point, tuning-registry persistence, and the serving layer's use of a
-   cached tuning.
+(* Tests for the unboxed float64 storage path: Buf primitives, a
+   randomized cross-backend bitwise equivalence sweep (every storage path
+   must reproduce the boxed serial reference bit for bit), a shrinking
+   property over the order-specialized kernels and sweeps at edge values,
+   the [*_into] buffer contract, and a steady-state allocation pin on the
+   unboxed entry point.
 
    The property runs 300 cases per scalar, 3000 with [QCHECK_LONG=1];
    [QCHECK_SEED=N] fixes its seed. *)
@@ -17,8 +15,6 @@ module Pool = Plr_exec.Pool
 module Faults = Plr_gpusim.Faults
 module Multicore = Plr_multicore.Multicore
 module Opts = Plr_factors.Opts
-module Tune = Plr_core.Tune
-module Serve = Plr_serve.Serve
 
 let check_bool = Alcotest.(check bool)
 let check_int = Alcotest.(check int)
@@ -517,150 +513,6 @@ let test_run_into_steady_state_alloc () =
       "warmed run_into allocated %.0f minor words on %d elements (budget 20000)"
       delta n
 
-(* ------------------------------------------------- tuning registry *)
-
-let test_registry_roundtrip () =
-  Tune.Registry.clear ();
-  let t1 = { Tune.chunk_size = 8192; domains = 2; window = 4 } in
-  let t2 = { Tune.chunk_size = 1024; domains = 1; window = 8 } in
-  Tune.Registry.store "k1" t1;
-  Tune.Registry.store "k2" t2;
-  let doc = Tune.Registry.to_json () in
-  Tune.Registry.clear ();
-  check_int "cleared" 0 (List.length (Tune.Registry.entries ()));
-  (match Tune.Registry.of_json doc with
-  | Ok k -> check_int "restored entry count" 2 k
-  | Error e -> Alcotest.fail ("of_json rejected its own to_json: " ^ e));
-  check_bool "k1 restored" true (Tune.Registry.find "k1" = Some t1);
-  check_bool "k2 restored" true (Tune.Registry.find "k2" = Some t2);
-  check_bool "wrong schema rejected" true
-    (Result.is_error (Tune.Registry.of_json {|{"schema":"nope","entries":[]}|}));
-  check_bool "malformed JSON rejected" true
-    (Result.is_error (Tune.Registry.of_json "{"));
-  Tune.Registry.clear ()
-
-let test_get_or_search_caches () =
-  Tune.Registry.clear ();
-  let module TC = Tune.Cpu (Scalar.F64) in
-  let pool = Pool.get ~domains:2 () in
-  let s =
-    Signature.create ~is_zero:(fun c -> c = 0.0) ~forward:[| 0.2 |]
-      ~feedback:[| 0.8 |]
-  in
-  let n = 20000 in
-  let before = Tune.Registry.searches () in
-  let t1, src1 = TC.get_or_search ~reps:1 ~budget:2 ~pool ~n s in
-  check_bool "first call searches" true (src1 = Tune.Searched);
-  check_int "search counted" (before + 1) (Tune.Registry.searches ());
-  let t2, src2 = TC.get_or_search ~reps:1 ~budget:2 ~pool ~n s in
-  check_bool "second call served from cache" true (src2 = Tune.Cached);
-  check_bool "same tuning" true (t1 = t2);
-  check_int "no re-search" (before + 1) (Tune.Registry.searches ());
-  (* get never measures: a different n-bucket falls back to heuristics *)
-  let _, src3 = TC.get ~pool ~n:(1 lsl 26) s in
-  check_bool "unknown bucket is heuristic" true (src3 = Tune.Heuristic);
-  Tune.Registry.clear ()
-
-(* Regression pin for the tuned-slower-than-heuristic bug BENCH_PLR.json
-   exposed (prefix-sum 13.4 vs 11.3 ns/elem, tuple2 36.3 vs 19.4): the
-   search's selection policy must keep the measured heuristic unless the
-   searched winner beats it by a real margin, so a persisted tuning can
-   never regress below the untuned backend. *)
-let test_search_never_persists_slower () =
-  let h = Tune.{ chunk_size = 4096; domains = 4; window = 4 } in
-  let w = Tune.{ chunk_size = 64; domains = 2; window = 1 } in
-  let pick ~h_ns ~w_ns =
-    fst
-      (Tune.select_cpu_tuning ~heuristic:h ~heuristic_ns_per_elem:h_ns
-         ~searched:w ~searched_ns_per_elem:w_ns ())
-  in
-  (* a noisy near-tie must NOT displace the heuristic *)
-  check_bool "tie keeps heuristic" true (pick ~h_ns:10.0 ~w_ns:10.0 = h);
-  check_bool "within-margin win keeps heuristic" true
-    (pick ~h_ns:10.0 ~w_ns:9.8 = h);
-  check_bool "slower winner is impossible" true (pick ~h_ns:10.0 ~w_ns:13.4 = h);
-  check_bool "clear win switches" true (pick ~h_ns:10.0 ~w_ns:8.0 = w);
-  (* when the heuristic itself wins the search, it is of course kept *)
-  check_bool "heuristic self-win" true
-    (fst
-       (Tune.select_cpu_tuning ~heuristic:h ~heuristic_ns_per_elem:10.0
-          ~searched:h ~searched_ns_per_elem:10.0 ())
-    = h);
-  (* end-to-end: a real search's persisted result is never slower than
-     the measured heuristic configuration *)
-  let module TC = Tune.Cpu (Scalar.F64) in
-  let pool = Pool.get ~domains:2 () in
-  let s =
-    Signature.create ~is_zero:(fun c -> c = 0.0) ~forward:[| 1.0 |]
-      ~feedback:[| 1.0 |]
-  in
-  let r = TC.search ~reps:1 ~budget:4 ~pool ~n:20000 s in
-  check_bool "persisted tuning not slower than measured heuristic" true
-    (r.TC.ns_per_elem <= r.TC.heuristic_ns_per_elem)
-
-(* ------------------------------------------------ serve cached tuning *)
-
-(* The serving contract for a warm tuning registry: a plan compile picks
-   up the stored tuning for the request's shape, counts it as cached,
-   runs pooled requests under its schedule with output bitwise identical
-   to the serial reference, and names it in the metrics snapshot.  The
-   JIT is pinned off so the pooled request runs the multicore engine
-   under that schedule. *)
-let test_serve_cached_tuning () =
-  let old_jit = Sys.getenv_opt "PLR_JIT" in
-  Unix.putenv "PLR_JIT" "off";
-  Tune.Registry.clear ();
-  Fun.protect ~finally:(fun () ->
-      Tune.Registry.clear ();
-      Unix.putenv "PLR_JIT" (Option.value ~default:"" old_jit))
-  @@ fun () ->
-  let module Srv = Serve.Make (Scalar.Int) in
-  let module TC = Tune.Cpu (Scalar.Int) in
-  let module Serial_i = Plr_serial.Serial.Make (Scalar.Int) in
-  let config =
-    { Serve.default_config with
-      Serve.parallel_threshold = 4096;
-      chunk_size = 1024 }
-  in
-  let server = Srv.create ~config ~domains:2 () in
-  let s =
-    Signature.create ~is_zero:(fun c -> c = 0) ~forward:[| 1 |]
-      ~feedback:[| 2; -1 |]
-  in
-  let n = 8192 in
-  (* Chunk size and window both differ from the serving defaults (1024
-     and [Multicore.default_window ~pool_size:2]). *)
-  let stored = { Tune.chunk_size = 2048; domains = 2; window = 3 } in
-  check_bool "stored window differs from the default" true
-    (stored.Tune.window <> Multicore.default_window ~pool_size:2);
-  Tune.Registry.store (TC.key ~n s) stored;
-  let entry, hit = Srv.plan_for ~n server s in
-  check_bool "first request misses the plan cache" false hit;
-  check_bool "entry reports a cached tuning" true
-    (entry.Srv.tuning_source = Tune.Cached);
-  check_bool "entry carries the stored tuning" true (entry.Srv.tuning = stored);
-  let m = Srv.metrics server in
-  check_int "tune_cached counts the compile" 1
-    (Plr_serve.Metrics.Counter.get m.Plr_serve.Metrics.tune_cached);
-  check_int "no heuristic fallback" 0
-    (Plr_serve.Metrics.Counter.get m.Plr_serve.Metrics.tune_heuristic);
-  let g = Splitmix.create 0x5e7e in
-  let x = Array.init n (fun _ -> Splitmix.int_in g ~lo:(-50) ~hi:50) in
-  (match Srv.submit server s x with
-  | Error e -> Alcotest.fail ("pooled submit failed: " ^ Serve.error_to_string e)
-  | Ok y -> check_bool "pooled output is bitwise Serial.full" true
-      (y = Serial_i.full s x));
-  (* the snapshot attributes the schedule it is running *)
-  let snap = Srv.snapshot_json server in
-  let contains needle hay =
-    let nl = String.length needle and hl = String.length hay in
-    let rec at i = i + nl <= hl && (String.sub hay i nl = needle || at (i + 1)) in
-    at 0
-  in
-  check_bool "snapshot names the tuning" true
-    (contains (Tune.cpu_tuning_to_string stored) snap);
-  check_bool "snapshot names the source" true (contains "(cached)" snap)
-
 let () =
   Alcotest.run "plr_unboxed"
     [
@@ -682,16 +534,5 @@ let () =
         [
           Alcotest.test_case "warmed run_into stays unboxed" `Quick
             test_run_into_steady_state_alloc;
-        ] );
-      ( "tuning",
-        [
-          Alcotest.test_case "registry JSON roundtrip" `Quick
-            test_registry_roundtrip;
-          Alcotest.test_case "get_or_search caches" `Quick
-            test_get_or_search_caches;
-          Alcotest.test_case "search never persists slower" `Quick
-            test_search_never_persists_slower;
-          Alcotest.test_case "serve warm-cache autotune" `Quick
-            test_serve_cached_tuning;
         ] );
     ]
