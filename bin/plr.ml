@@ -132,6 +132,13 @@ let time_wall f =
   let r = f () in
   (r, Unix.gettimeofday () -. t0)
 
+(* The time of the fastest OCaml serial evaluator: the flat kernel into a
+   preallocated output.  The boxed [Serial.full] is the oracle, used for
+   the [validation:] line only. *)
+let time_serial full_into zero s input =
+  let dst = Array.make (Array.length input) zero in
+  snd (time_wall (fun () -> full_into s ~src:input ~dst))
+
 (* Named factor-specialization toggles for `run`.  The names match the
    flags Opts.pp prints. *)
 let opt_names = [ "shared-cache"; "all-equal"; "zero-one"; "repeat"; "ftz" ]
@@ -190,7 +197,8 @@ let cmd_run text n backend domain domains opts_off ons offs =
       let output, dt =
         time_wall (fun () -> Multi_int.run ~opts ?domains is input)
       in
-      let expected, st = time_wall (fun () -> Serial_int.full is input) in
+      let st = time_serial Serial_int.full_into 0 is input in
+      let expected = Serial_int.full is input in
       Printf.printf "backend: multicore CPU (%d domains)\n" (pool_size domains);
       Printf.printf "parallel: %.3f ms, serial: %.3f ms, speedup %.2fx\n"
         (dt *. 1e3) (st *. 1e3) (st /. dt);
@@ -204,7 +212,8 @@ let cmd_run text n backend domain domains opts_off ons offs =
       let output, dt =
         time_wall (fun () -> Multi_f32.run ~opts ?domains fs input)
       in
-      let expected, st = time_wall (fun () -> Serial_f32.full fs input) in
+      let st = time_serial Serial_f32.full_into 0.0 fs input in
+      let expected = Serial_f32.full fs input in
       Printf.printf "backend: multicore CPU (%d domains)\n" (pool_size domains);
       Printf.printf "parallel: %.3f ms, serial: %.3f ms, speedup %.2fx\n"
         (dt *. 1e3) (st *. 1e3) (st /. dt);
@@ -214,13 +223,13 @@ let cmd_run text n backend domain domains opts_off ons offs =
         | Error m -> "FAILED — " ^ m)
   | `Int is, Serial_backend ->
       let input = random_int_input n in
-      let _, st = time_wall (fun () -> Serial_int.full is input) in
+      let st = time_serial Serial_int.full_into 0 is input in
       Printf.printf "serial: %.3f ms (%.2f M words/s)\n" (st *. 1e3)
         (float_of_int n /. st /. 1e6)
   | `Float, Serial_backend ->
       let fs = Signature.map Plr_util.F32.round s in
       let input = random_f32_input n in
-      let _, st = time_wall (fun () -> Serial_f32.full fs input) in
+      let st = time_serial Serial_f32.full_into 0.0 fs input in
       Printf.printf "serial: %.3f ms (%.2f M words/s)\n" (st *. 1e3)
         (float_of_int n /. st /. 1e6)
   | `Int is, Jit_backend ->
@@ -234,7 +243,7 @@ let cmd_run text n backend domain domains opts_off ons offs =
           Printf.printf
             "backend: jit unavailable (disabled, or no C toolchain) — \
              serial fallback\n";
-          let _, st = time_wall (fun () -> Serial_int.full is input) in
+          let st = time_serial Serial_int.full_into 0 is input in
           Printf.printf "serial: %.3f ms\n" (st *. 1e3)
       | Some jb -> (
           (* First call compiles nothing further but verifies the kernel
@@ -242,13 +251,14 @@ let cmd_run text n backend domain domains opts_off ons offs =
           match Jit_int.run jb input with
           | None ->
               Printf.printf "backend: jit build failed — serial fallback\n";
-              let _, st = time_wall (fun () -> Serial_int.full is input) in
+              let st = time_serial Serial_int.full_into 0 is input in
               Printf.printf "serial: %.3f ms\n" (st *. 1e3)
           | Some _ ->
               let output, dt =
                 time_wall (fun () -> Option.get (Jit_int.run jb input))
               in
-              let expected, st = time_wall (fun () -> Serial_int.full is input) in
+              let st = time_serial Serial_int.full_into 0 is input in
+              let expected = Serial_int.full is input in
               Printf.printf "backend: native JIT (C, verified bitwise)\n";
               Printf.printf "jit: %.3f ms, serial: %.3f ms, speedup %.2fx\n"
                 (dt *. 1e3) (st *. 1e3) (st /. dt);
@@ -268,19 +278,20 @@ let cmd_run text n backend domain domains opts_off ons offs =
           Printf.printf
             "backend: jit unavailable (disabled, or no C toolchain) — \
              serial fallback\n";
-          let _, st = time_wall (fun () -> Serial_f32.full fs input) in
+          let st = time_serial Serial_f32.full_into 0.0 fs input in
           Printf.printf "serial: %.3f ms\n" (st *. 1e3)
       | Some jb -> (
           match Jit_f32.run jb input with
           | None ->
               Printf.printf "backend: jit build failed — serial fallback\n";
-              let _, st = time_wall (fun () -> Serial_f32.full fs input) in
+              let st = time_serial Serial_f32.full_into 0.0 fs input in
               Printf.printf "serial: %.3f ms\n" (st *. 1e3)
           | Some _ ->
               let output, dt =
                 time_wall (fun () -> Option.get (Jit_f32.run jb input))
               in
-              let expected, st = time_wall (fun () -> Serial_f32.full fs input) in
+              let st = time_serial Serial_f32.full_into 0.0 fs input in
+              let expected = Serial_f32.full fs input in
               Printf.printf "backend: native JIT (C, verified bitwise)\n";
               Printf.printf "jit: %.3f ms, serial: %.3f ms, speedup %.2fx\n"
                 (dt *. 1e3) (st *. 1e3) (st /. dt);

@@ -24,9 +24,9 @@ let[@inline] round f32 (cell : Plr_util.F32.cell) v =
 (* [y(i) <- y(i) + p], rounded as the boxed evaluator rounds it.  [y(i)]
    is bound first: written inline, the load would become the second
    operand, and of two NaN operands x86 returns the first. *)
-let[@inline] add_f f32 cell (y : Plr_util.Buf.t) i p =
-  let yi = Bigarray.Array1.unsafe_get y i in
-  Bigarray.Array1.unsafe_set y i (round f32 cell (yi +. p))
+let[@inline] add_f f32 cell (y : float array) i p =
+  let yi = Array.unsafe_get y i in
+  Array.unsafe_set y i (round f32 cell (yi +. p))
 
 let[@inline] add_i (y : int array) i v =
   Array.unsafe_set y i (Array.unsafe_get y i + v)
@@ -248,10 +248,10 @@ module Make (S : Plr_util.Scalar.S) = struct
     if base < 0 || len < 0 || base + len > ylen || len > t.m then
       invalid_arg (name ^ ": range out of bounds")
 
-  let apply_list_f t ~j ~(carry : S.t) (y : Plr_util.Buf.t) ~base ~len =
+  let apply_list_f t ~j ~(carry : S.t) (y : float array) ~base ~len =
     match S.rep with
     | Plr_util.Scalar.Float_rep rounding -> (
-        check_range "Factor_plan.apply_list_f" t ~ylen:(Plr_util.Buf.length y)
+        check_range "Factor_plan.apply_list_f" t ~ylen:(Array.length y)
           ~base ~len;
         let f32 = rounding = Plr_util.Scalar.Round_f32 in
         let cell = Plr_util.F32.cell () in

@@ -82,11 +82,11 @@ module Make (S : Plr_util.Scalar.S) : sig
     t ->
     j:int ->
     carry:S.t ->
-    Plr_util.Buf.t ->
+    float array ->
     base:int ->
     len:int ->
     unit
-  (** {!apply_list} monomorphized onto unboxed {!Plr_util.Buf.t} storage.
+  (** {!apply_list} monomorphized onto a flat [float array].
       Only valid when [S.rep] is [Float_rep] (raises [Invalid_argument]
       otherwise); the refined branch replicates the generic evaluator's
       operation/rounding sequence exactly, so results are bitwise

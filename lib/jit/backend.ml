@@ -108,60 +108,46 @@ module Make (S : Plr_util.Scalar.S) = struct
           a b
     | Plr_util.Scalar.Other_rep -> false
 
-  (* One native call.  The dispatched (unchunked) path is copy-free:
-     float kernels run directly on the flat [float array] payloads, int
-     kernels on the tagged words through the units' [_tagged] entry.
-     The chunked path — and int units missing the tagged entry (stale
-     on-disk cache from an older emitter) — bridge through off-heap
-     storage instead: ints via Int64 Bigarrays (sign-extension out,
-     63-bit truncation back; the kernel stores normalized 63-bit values,
-     so no information is lost), floats via unboxed Buf storage. *)
-  let exec ?chunk (fns : Jit.fns) (x : S.t array) : S.t array =
-    let n = Array.length x in
-    if n = 0 then [||]
-    else
-      let call : type a b.
-          (a, b, Bigarray.c_layout) Bigarray.Array1.t ->
-          (a, b, Bigarray.c_layout) Bigarray.Array1.t ->
-          unit =
-       fun xb yb ->
-        match chunk with
-        | None -> Jit.call_run fns.Jit.run xb yb n
-        | Some m -> Jit.call_run_chunked fns.Jit.run_chunked xb yb n m
-      in
-      match S.rep with
-      | Plr_util.Scalar.Int_rep ->
-          if chunk = None && fns.Jit.run_tagged <> 0n then begin
-            let y = Array.make n 0 in
-            Jit.call_run_direct fns.Jit.run_tagged x y n;
-            y
-          end
-          else begin
-            let open Bigarray in
-            let xb = Array1.create int64 c_layout n in
-            let yb = Array1.create int64 c_layout n in
-            for i = 0 to n - 1 do
-              Array1.unsafe_set xb i (Int64.of_int x.(i))
-            done;
-            call xb yb;
-            Array.init n (fun i -> Int64.to_int (Array1.unsafe_get yb i))
-          end
-      | Plr_util.Scalar.Float_rep _ ->
-          if chunk = None then begin
-            let y = Array.make n 0.0 in
-            Jit.call_run_direct fns.Jit.run x y n;
-            y
-          end
-          else begin
-            let xb = Plr_util.Buf.of_array x in
-            let yb = Plr_util.Buf.create n in
-            call xb yb;
-            Plr_util.Buf.to_array yb
-          end
-      | Plr_util.Scalar.Other_rep ->
-          invalid_arg "Jit.Backend.exec: unsupported scalar"
+  (* The unit's direct entry for this scalar: the plain one on a flat
+     [float array], the [_tagged] one on an [int array]'s tagged words
+     ([0n] for a unit without it). *)
+  let entry (fns : Jit.fns) =
+    match S.rep with
+    | Plr_util.Scalar.Float_rep _ -> fns.Jit.run
+    | Plr_util.Scalar.Int_rep -> fns.Jit.run_tagged
+    | Plr_util.Scalar.Other_rep -> 0n
 
-  let run t (x : S.t array) : S.t array option =
+  (* One native call into [dst], on the arrays themselves. *)
+  let exec fn ~src ~dst =
+    let n = Array.length src in
+    if n > 0 then Jit.call_run_direct fn src dst n
+
+  (* The chunked kernel bridges through off-heap storage: ints via Int64
+     Bigarrays (sign-extension out, 63-bit truncation back; the kernel
+     stores normalized 63-bit values, so no information is lost), floats
+     via float64 ones. *)
+  let exec_chunked (fns : Jit.fns) ~m (x : S.t array) : S.t array =
+    let open Bigarray in
+    let n = Array.length x in
+    let call xb yb =
+      if n > 0 then Jit.call_run_chunked fns.Jit.run_chunked xb yb n m
+    in
+    match S.rep with
+    | Plr_util.Scalar.Int_rep ->
+        let xb = Array1.create int64 c_layout n in
+        let yb = Array1.create int64 c_layout n in
+        Array.iteri (fun i v -> Array1.unsafe_set xb i (Int64.of_int v)) x;
+        call xb yb;
+        Array.init n (fun i -> Int64.to_int (Array1.unsafe_get yb i))
+    | Plr_util.Scalar.Float_rep _ ->
+        let yb = Array1.create float64 c_layout n in
+        call (Array1.of_array float64 c_layout x) yb;
+        Array.init n (Array1.unsafe_get yb)
+    | Plr_util.Scalar.Other_rep ->
+        invalid_arg "Jit.Backend.run_chunked: unsupported scalar"
+
+  (* The kernel for a call, or [None] after recording why not. *)
+  let usable t =
     match Atomic.get t.cell with
     | Jit.Building ->
         fallback reason_building;
@@ -169,68 +155,64 @@ module Make (S : Plr_util.Scalar.S) = struct
     | Jit.Failed _ ->
         fallback reason_build_failed;
         None
+    | Jit.Ready fns when entry fns = 0n ->
+        fallback reason_build_failed;
+        None
     | Jit.Ready fns -> (
         match Atomic.get t.validation with
         | Poisoned ->
             fallback reason_poisoned;
             None
-        | Validated ->
-            Trace.begin_span2 Trace.Jit "jit.run" (Array.length x) 0;
-            let y = exec fns x in
-            Trace.end_span ();
-            Some y
-        | Unchecked ->
-            (* first use: verify this very input against the OCaml
-               serial reference before trusting the kernel *)
-            Trace.begin_span2 Trace.Jit "jit.verify" (Array.length x) 0;
-            let y = exec fns x in
-            let reference = Sr.full t.signature x in
-            let ok = agrees y reference in
-            Trace.end_span ();
-            if ok then begin
-              Atomic.set t.validation Validated;
-              Some y
-            end
-            else begin
-              Atomic.set t.validation Poisoned;
-              fallback reason_poisoned;
-              None
-            end)
+        | v -> Some (entry fns, v))
 
-  let run_into t ~(src : Plr_util.Buf.t) ~(dst : Plr_util.Buf.t) : bool =
-    match S.rep with
-    | Plr_util.Scalar.Float_rep _ -> (
-        Plr_util.Buf.check_into "Jit.Backend.run_into" ~src ~dst;
-        match (Atomic.get t.cell, Atomic.get t.validation) with
-        | Jit.Ready fns, Validated ->
-            let n = Plr_util.Buf.length src in
-            Trace.begin_span2 Trace.Jit "jit.run" n 0;
-            if n > 0 then Jit.call_run fns.Jit.run src dst n;
+  let run t (x : S.t array) : S.t array option =
+    match usable t with
+    | None -> None
+    | Some (fn, validation) ->
+        (* first use: verify this very input against the OCaml serial
+           reference before trusting the kernel *)
+        let first = validation <> Validated in
+        Trace.begin_span2 Trace.Jit
+          (if first then "jit.verify" else "jit.run")
+          (Array.length x) 0;
+        let y = Array.make (Array.length x) S.zero in
+        exec fn ~src:x ~dst:y;
+        let ok = (not first) || agrees y (Sr.full t.signature x) in
+        Trace.end_span ();
+        if ok then begin
+          if first then Atomic.set t.validation Validated;
+          Some y
+        end
+        else begin
+          Atomic.set t.validation Poisoned;
+          fallback reason_poisoned;
+          None
+        end
+
+  let run_into t ~(src : S.t array) ~(dst : S.t array) : bool =
+    Plr_serial.Serial.check_into "Jit.Backend.run_into" ~src ~dst;
+    match Atomic.get t.validation with
+    | Validated -> (
+        match usable t with
+        | Some (fn, _) ->
+            Trace.begin_span2 Trace.Jit "jit.run" (Array.length src) 0;
+            exec fn ~src ~dst;
             Trace.end_span ();
             true
-        | Jit.Ready _, Unchecked -> (
-            (* route the first call through [run] so it gets verified *)
-            match run t (Plr_util.Buf.to_array src) with
-            | Some y ->
-                Plr_util.Buf.blit_from_array y dst;
-                true
-            | None -> false)
-        | Jit.Ready _, Poisoned ->
-            fallback reason_poisoned;
-            false
-        | Jit.Building, _ ->
-            fallback reason_building;
-            false
-        | Jit.Failed _, _ ->
-            fallback reason_build_failed;
-            false)
-    | _ -> false
+        | None -> false)
+    | _ -> (
+        (* route the first call through [run] so it gets verified *)
+        match run t src with
+        | Some y ->
+            Array.blit y 0 dst 0 (Array.length y);
+            true
+        | None -> false)
 
   (* The chunked two-phase kernel (specialized correction sweeps) —
      exposed for tests and the emit/demo path; dispatch uses [run]. *)
   let run_chunked t ~m (x : S.t array) : S.t array option =
     match Atomic.get t.cell with
-    | Jit.Ready fns -> Some (exec ~chunk:m fns x)
+    | Jit.Ready fns -> Some (exec_chunked fns ~m x)
     | Jit.Building ->
         fallback reason_building;
         None

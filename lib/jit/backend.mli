@@ -58,7 +58,14 @@ module Make (S : Plr_util.Scalar.S) : sig
       semantics — the tests' hook for forcing mismatch poisoning. *)
 
   val run : t -> S.t array -> S.t array option
-  (** The dispatched fast path ([plr_jit_run], serial operation order).
+  (** The dispatched fast path ([plr_jit_run], serial operation order),
+      called directly on the OCaml arrays: a float scalar's flat
+      [float array], or a native int's tagged words through the unit's
+      [plr_jit_run_tagged] entry (an int unit without it falls back,
+      reason {!reason_build_failed}).  The stub keeps the runtime lock
+      for the whole call, so no collection moves the arrays under the
+      kernel; a long call delays the other domains' stop-the-world
+      collections by its length.
       [Some y] is bitwise-identical to [Serial.full] (guaranteed by
       construction and checked on first use), except that a NaN output
       may differ from the reference's NaN in sign and payload: where two
@@ -66,19 +73,19 @@ module Make (S : Plr_util.Scalar.S) : sig
       one propagates.  The first-use check takes any NaN for any NaN and
       every other value by its bits.  [None] means fall back. *)
 
-  val run_into : t -> src:Plr_util.Buf.t -> dst:Plr_util.Buf.t -> bool
-  (** {!run} over unboxed float64 storage (float scalars only; [false]
-      for int scalars or whenever {!run} would answer [None]).  The
-      first call routes through the boxed verifier.  [dst] must not
-      overlap [src]: on a float scalar, a [dst] shorter than [src], or
-      [src] itself, raises [Invalid_argument]
-      ({!Plr_util.Buf.check_into}) before the kernel runs. *)
+  val run_into : t -> src:S.t array -> dst:S.t array -> bool
+  (** {!run} into the first [Array.length src] elements of the
+      caller-allocated [dst], with no output allocated ([false] whenever
+      {!run} would answer [None]).  The first call routes through the
+      verifier.  [dst] must not overlap [src]: a [dst] shorter than
+      [src], or [src] itself when not empty, raises [Invalid_argument]
+      ({!Plr_serial.Serial.check_into}) before the kernel runs. *)
 
   val run_chunked : t -> m:int -> S.t array -> S.t array option
   (** The §3 two-phase chunked kernel with per-class specialized
       correction sweeps, at chunk size [m] (clamped to the factor-table
-      length).  Exposed for tests and demos; not verified-on-first-use —
-      dispatch goes through {!run}. *)
+      length), bridged through Bigarray copies.  Exposed for tests and
+      demos; not verified-on-first-use — dispatch goes through {!run}. *)
 
   val source : t -> string
   val state : t -> Jit.state

@@ -28,8 +28,8 @@ type fns = {
   run_chunked : nativeint;
       (* void plr_jit_run_chunked(const T*, T*, int64_t, int64_t) *)
   run_tagged : nativeint;
-      (* void plr_jit_run_tagged(...) — the copy-free kernel over OCaml's
-         tagged int-array representation; 0 for float units *)
+      (* void plr_jit_run_tagged(...) — the kernel over OCaml's tagged
+         int-array representation; 0 for float units *)
 }
 
 type state = Building | Ready of fns | Failed of string
@@ -41,13 +41,6 @@ external dlerror : unit -> string = "plr_jit_stub_dlerror"
 external dlsym_fn : nativeint -> string -> nativeint = "plr_jit_stub_dlsym"
 external dlclose_so : nativeint -> unit = "plr_jit_stub_dlclose"
 
-external call_run :
-  nativeint ->
-  ('a, 'b, Bigarray.c_layout) Bigarray.Array1.t ->
-  ('a, 'b, Bigarray.c_layout) Bigarray.Array1.t ->
-  int ->
-  unit = "plr_jit_stub_call_run"
-
 external call_run_chunked :
   nativeint ->
   ('a, 'b, Bigarray.c_layout) Bigarray.Array1.t ->
@@ -56,8 +49,8 @@ external call_run_chunked :
   int ->
   unit = "plr_jit_stub_call_run_chunked"
 
-(* Copy-free call directly on OCaml array payloads (flat doubles for
-   float arrays; tagged words for int arrays, paired with the kernels'
+(* The call directly on OCaml array payloads (flat doubles for float
+   arrays; tagged words for int arrays, paired with the kernels'
    [_tagged] entry).  The stub keeps the runtime lock, so the arrays
    cannot move mid-call. *)
 external call_run_direct : nativeint -> 'a array -> 'a array -> int -> unit
@@ -138,8 +131,8 @@ let load_so sofile =
   else
     let run = dlsym_fn h "plr_jit_run" in
     let run_chunked = dlsym_fn h "plr_jit_run_chunked" in
-    (* optional: int units only — float units run copy-free through the
-       plain entry, so there is nothing to look up *)
+    (* int units only: float units run directly through the plain
+       entry *)
     let run_tagged = dlsym_fn h "plr_jit_run_tagged" in
     if run = 0n || run_chunked = 0n then begin
       dlclose_so h;

@@ -27,9 +27,8 @@ type fns = {
       (** [void plr_jit_run_chunked(const T*, T*, int64_t, int64_t)] *)
   run_tagged : nativeint;
       (** [void plr_jit_run_tagged(const int64_t*, int64_t*, int64_t)] —
-          the copy-free kernel over OCaml's tagged int-array
-          representation (word = 2v+1); [0n] for float units, which run
-          copy-free through [run] instead *)
+          the kernel over OCaml's tagged int-array representation (word =
+          2v+1); [0n] for float units, which run directly through [run] *)
 }
 
 type state = Building | Ready of fns | Failed of string
@@ -78,16 +77,7 @@ val compile_and_load : source:string -> (fns, string) result
 
 (** {1 Kernel calls}
 
-    The trampolines release the OCaml runtime lock around the native
-    call; Bigarray payloads live off-heap, so this is safe.  [n] (and
-    the chunk size [m]) are element counts. *)
-
-val call_run :
-  nativeint ->
-  ('a, 'b, Bigarray.c_layout) Bigarray.Array1.t ->
-  ('a, 'b, Bigarray.c_layout) Bigarray.Array1.t ->
-  int ->
-  unit
+    [n] (and the chunk size [m]) are element counts. *)
 
 val call_run_chunked :
   nativeint ->
@@ -96,9 +86,13 @@ val call_run_chunked :
   int ->
   int ->
   unit
+(** The chunked entry over Bigarrays.  Their payloads live off the OCaml
+    heap, so the trampoline releases the runtime lock around the native
+    call. *)
 
 val call_run_direct : nativeint -> 'a array -> 'a array -> int -> unit
-(** Copy-free call directly on OCaml array payloads: pass {!fns.run}
-    with [float array]s (flat doubles) or {!fns.run_tagged} with
-    [int array]s (tagged words).  The stub keeps the runtime lock, so
-    the arrays cannot move mid-call; nothing allocates. *)
+(** The call directly on OCaml array payloads: pass {!fns.run} with
+    [float array]s (flat doubles) or {!fns.run_tagged} with [int array]s
+    (tagged words).  The stub keeps the runtime lock for the whole call,
+    so no collection can move the arrays under the native code; nothing
+    allocates. *)

@@ -1,10 +1,10 @@
 /* dlopen/dlsym bindings and the kernel-call trampolines for the PLR JIT.
  *
  * Handles and function pointers cross the FFI as nativeint (0 = null).
- * The call trampolines release the OCaml runtime lock for the duration of
- * the kernel: the data lives in Bigarrays, whose payload is off the OCaml
- * heap and never moves, so other domains may allocate and the GC may run
- * while native code streams through the buffers.
+ * The chunked trampoline releases the OCaml runtime lock for the duration
+ * of the kernel: its data lives in Bigarrays, whose payload is off the
+ * OCaml heap and never moves.  The direct trampoline runs on OCaml arrays
+ * and keeps the lock.
  */
 
 #include <dlfcn.h>
@@ -53,23 +53,11 @@ CAMLprim value plr_jit_stub_dlclose(value handle)
   return Val_unit;
 }
 
-/* void kernel(const T *x, T *y, int64_t n) — T is int64_t or double; the
- * trampoline only moves pointers, so one cast covers both element types. */
+/* void kernel(const T *x, T *y, int64_t n[, int64_t m]) — T is int64_t
+ * or double; the trampolines only move pointers, so one cast covers both
+ * element types. */
 typedef void (*plr_run_fn)(const void *, void *, int64_t);
 typedef void (*plr_run_chunked_fn)(const void *, void *, int64_t, int64_t);
-
-CAMLprim value plr_jit_stub_call_run(value fn, value x, value y, value n)
-{
-  CAMLparam4(fn, x, y, n);
-  plr_run_fn f = (plr_run_fn)Nativeint_val(fn);
-  const void *xs = Caml_ba_data_val(x);
-  void *ys = Caml_ba_data_val(y);
-  int64_t len = Long_val(n);
-  caml_release_runtime_system();
-  f(xs, ys, len);
-  caml_acquire_runtime_system();
-  CAMLreturn(Val_unit);
-}
 
 CAMLprim value plr_jit_stub_call_run_chunked(value fn, value x, value y,
                                              value n, value m)
@@ -86,7 +74,7 @@ CAMLprim value plr_jit_stub_call_run_chunked(value fn, value x, value y,
   CAMLreturn(Val_unit);
 }
 
-/* Copy-free call directly on OCaml array payloads: a float array is a
+/* The call directly on OCaml array payloads: a float array is a
  * flat block of doubles, an int array a flat block of tagged words (the
  * int kernels emit a `_tagged` entry that untags on load and retags on
  * store).  The runtime lock is deliberately NOT released here — with

@@ -27,16 +27,16 @@
 
     {2 Storage}
 
-    The chunk operations dispatch on {!Plr_util.Scalar.S.rep}: float
-    scalars run on unboxed {!Plr_util.Buf.t} float64 storage (conversion
-    from/to boxed [float array] happens only at the [run] API boundary;
-    {!Make.run_into} skips it entirely), native ints run monomorphic
-    kernels on their already-flat arrays, and every other scalar keeps the
-    generic boxed kernels.  The float and int local solves are
-    specialized on the signature's order (floats 1–3, ints 1–2), carrying
-    the last k outputs in locals.  All storage paths execute the identical
-    operation and rounding sequence, so outputs are bitwise identical
-    across them. *)
+    Every chunk runs on the caller's flat [S.t array] storage: the
+    chunk-local solve is {!Plr_serial.Serial.Make.solve}, the serial
+    kernel layer dispatched once on {!Plr_util.Scalar.S.rep} (a float
+    scalar's flat [float array], a native int's [int array], the boxed
+    loop for every other scalar), and the correction sweep is the
+    {!Plr_factors.Factor_plan} sweep for the same storage, chosen once
+    per run.  An unfaulted {!Make.run} is one fresh output plus
+    {!Make.run_into}, with no conversion.  The faulted replay runs the
+    boxed solve and sweep.  All paths execute the identical operation and
+    rounding sequence, so outputs are bitwise identical across them. *)
 
 module Faults = Plr_gpusim.Faults
 module Pool = Plr_exec.Pool
@@ -50,29 +50,7 @@ exception Fault_detected of string
 val faulted_lookback_window : int
 (** {!Plr_exec.Lookback.faulted_lookback_window}. *)
 
-val solve_tail_f :
-  f32:bool -> forward:float array -> feedback:float array -> Plr_util.Buf.t ->
-  Plr_util.Buf.t -> lo:int -> hi:int -> unit
-(** [solve_tail_f ~f32 ~forward ~feedback x y ~lo ~hi] writes outputs
-    [lo, hi) of [y] once the k = [Array.length feedback] outputs before
-    [lo >= k] are in [y]: the kernel for orders 1–3, the generic loop
-    above, with [Serial.full]'s operation order and, when [f32], its
-    binary32 rounding.  Output [i] sums the taps down to [x(max 0
-    (i - taps + 1))].  Bounds are not checked. *)
-
-val solve_tail_i :
-  forward:int array -> feedback:int array -> int array -> int array ->
-  lo:int -> hi:int -> unit
-(** {!solve_tail_f} on flat [int array] storage (kernels for orders
-    1–2). *)
-
 module Make (S : Plr_util.Scalar.S) : sig
-  val solve_range :
-    forward:S.t array -> feedback:S.t array -> S.t array -> S.t array ->
-    base:int -> lo:int -> hi:int -> unit
-  (** The generic boxed chunk solve: outputs [lo, hi) of the chunk that
-      starts at [base], whose feedback terms reach back to [base] only. *)
-
   val default_chunk_size : domains:int -> int -> int
   (** {!Plr_exec.Lookback.default_chunk_size}: the chunk size [run] uses
       when none is given. *)
@@ -129,15 +107,14 @@ module Make (S : Plr_util.Scalar.S) : sig
     ?chunk_size:int ->
     ?window:int ->
     S.t Signature.t ->
-    src:Plr_util.Buf.t ->
-    dst:Plr_util.Buf.t ->
+    src:S.t array ->
+    dst:S.t array ->
     unit
-  (** Unboxed entry point for float scalars: reads [src] and writes the
-      first [Buf.length src] elements of the caller-allocated [dst]
-      (which may be reused across calls, and must not overlap [src]),
-      with no boxed-float conversion on either side.  Raises
-      [Invalid_argument] for non-float scalars, when [dst] is shorter
-      than [src] or when [dst] is [src] ({!Plr_util.Buf.check_into}).
+  (** {!run} without its output allocation: reads [src] and writes the
+      first [Array.length src] elements of the caller-allocated [dst]
+      (which may be reused across calls, and must not overlap [src]).
+      Raises [Invalid_argument] when [dst] is shorter than [src] or when
+      [dst] is [src] and not empty ({!Plr_serial.Serial.check_into}).
       Results are bitwise identical to {!run} on the same input. *)
 
   val run_sequential_fallback :

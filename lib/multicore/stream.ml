@@ -1,5 +1,3 @@
-module Buf = Plr_util.Buf
-
 module Make (S : Plr_util.Scalar.S) = struct
   module M = Multicore.Make (S)
   module Serial = Plr_serial.Serial.Make (S)
@@ -12,11 +10,6 @@ module Make (S : Plr_util.Scalar.S) = struct
     carries : S.t array;             (* carry j = j-th from last output *)
     input_tail : S.t array;          (* last taps-1 inputs, most recent last *)
     mutable pos : int;               (* elements consumed *)
-    (* Unboxed staging for the float kernels, grown geometrically and
-       reused across [process] calls: a piece's input and its output.
-       Length 0 until the first float piece. *)
-    mutable fbuf_in : Buf.t;
-    mutable fbuf_out : Buf.t;
   }
 
   let create ?pool ?domains (signature : S.t Signature.t) =
@@ -32,8 +25,6 @@ module Make (S : Plr_util.Scalar.S) = struct
       carries = Array.make k S.zero;
       input_tail = Array.make (max 0 (taps - 1)) S.zero;
       pos = 0;
-      fbuf_in = Buf.create 0;
-      fbuf_out = Buf.create 0;
     }
 
   let signature t = t.signature
@@ -54,24 +45,17 @@ module Make (S : Plr_util.Scalar.S) = struct
     restore t ~pos:0 ~carries:(Array.make t.k S.zero)
       ~input_tail:(Array.make (Array.length t.input_tail) S.zero)
 
-  let ensure_fbufs t n =
-    if Buf.length t.fbuf_in < n then begin
-      let cap = max n (2 * max 1 (Buf.length t.fbuf_in)) in
-      t.fbuf_in <- Buf.create cap;
-      t.fbuf_out <- Buf.create cap
-    end
-
   (* The first [max k (taps - 1)] outputs of a piece (fewer if the piece
      is shorter), whose sums reach back into the input tail and the
-     carries.  Terms before stream position 0 are left out, as
-     [Serial.full] leaves them out, so each output is [Serial.full]'s sum
-     in [Serial.full]'s order. *)
-  let prologue t x =
+     carries, written into [y]; answers their count.  Terms before stream
+     position 0 are left out, as [Serial.full] leaves them out, so each
+     output is [Serial.full]'s sum in [Serial.full]'s order. *)
+  let prologue t x y =
     let forward = t.signature.Signature.forward
     and feedback = t.signature.Signature.feedback in
     let nh = Array.length t.input_tail in
-    let y = Array.make (min (Array.length x) (max t.k nh)) S.zero in
-    for i = 0 to Array.length y - 1 do
+    let lo = min (Array.length x) (max t.k nh) in
+    for i = 0 to lo - 1 do
       let p = t.pos + i in
       let acc = ref S.zero in
       for d = 0 to min p nh do
@@ -84,7 +68,7 @@ module Make (S : Plr_util.Scalar.S) = struct
       done;
       y.(i) <- !acc
     done;
-    y
+    lo
 
   (* Save the new carry/input-tail state in place (no per-call
      reallocation) and advance the position.  Carries walk downward
@@ -108,37 +92,13 @@ module Make (S : Plr_util.Scalar.S) = struct
     t.pos <- t.pos + n
 
   (* The serial recurrence continued from the carried state: the
-     prologue, then the storage's kernel from output [lo] on, where every
-     sum has all its terms inside the piece.  Floats stage through the
-     reused unboxed buffers; ints and the boxed scalars write the
-     returned array directly. *)
+     prologue, then the serial kernel from output [lo] on, where every sum
+     has all its terms inside the piece. *)
   let process t (x : S.t array) : S.t array =
     let n = Array.length x in
-    let head = prologue t x in
-    let lo = Array.length head in
-    let forward = t.signature.Signature.forward
-    and feedback = t.signature.Signature.feedback in
-    let y =
-      match S.rep with
-      | _ when lo = n -> head
-      | rep ->
-          let y = Array.make n S.zero in
-          Array.blit head 0 y 0 lo;
-          (match rep with
-          | Plr_util.Scalar.Float_rep rounding ->
-              ensure_fbufs t n;
-              Buf.blit_from_array x t.fbuf_in;
-              Buf.blit_from_array head t.fbuf_out;
-              Multicore.solve_tail_f
-                ~f32:(rounding = Plr_util.Scalar.Round_f32)
-                ~forward ~feedback t.fbuf_in t.fbuf_out ~lo ~hi:n;
-              Buf.blit_to_array t.fbuf_out y
-          | Plr_util.Scalar.Int_rep ->
-              Multicore.solve_tail_i ~forward ~feedback x y ~lo ~hi:n
-          | Plr_util.Scalar.Other_rep ->
-              M.solve_range ~forward ~feedback x y ~base:0 ~lo ~hi:n);
-          y
-    in
+    let y = Array.make n S.zero in
+    let lo = prologue t x y in
+    Serial.solve t.signature x y ~base:0 ~lo ~hi:n;
     commit t x y;
     y
 

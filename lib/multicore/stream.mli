@@ -6,11 +6,11 @@
     state must flow across buffer boundaries.  A piece arrives with its
     final carries, so nothing is left to look back for: each piece is the
     serial recurrence (§2) continued from the carried state — a short
-    prologue over the carries and the FIR input tail, then the
-    order-specialized kernels of {!Multicore} for the storage.  The
-    concatenated output is bitwise {!Plr_serial.Serial.Make.full} over the
-    concatenated input, for every scalar, every split into pieces and
-    every pool.
+    prologue over the carries and the FIR input tail, then one call of
+    the serial kernel {!Plr_serial.Serial.Make.solve}, which writes the
+    returned array directly.  The concatenated output is bitwise
+    {!Plr_serial.Serial.Make.full} over the concatenated input, for every
+    scalar, every split into pieces and every pool.
 
     The state words (carries, FIR input tail, position) are exposed for
     snapshot and restore, so {!Plr_serve.Session} wraps a stream with

@@ -5,29 +5,15 @@ module Make (S : Plr_util.Scalar.S) = struct
   module P = Plan.Make (S)
 
   (* Per-chunk working storage of the modeled device's registers/shared
-     memory.  Float scalars back it with unboxed {!Plr_util.Buf.t}
-     float64 storage (binary64 holds every emulated-binary32 value
-     exactly, so values are unchanged); everything else keeps a boxed
-     [S.t array].  The kernels only see the accessors, so the device
-     counters they charge are identical either way. *)
+     memory: an [S.t array] (flat for floats).  The kernels only see the
+     accessors, so tests can view an existing array as working storage
+     and inspect intermediate states. *)
   type work = { wget : int -> S.t; wset : int -> S.t -> unit }
 
-  let work_make m : work =
-    match S.rep with
-    | Plr_util.Scalar.Float_rep _ ->
-        let b = Plr_util.Buf.create m in
-        {
-          wget = (fun i -> Bigarray.Array1.get b i);
-          wset = (fun i v -> Bigarray.Array1.set b i v);
-        }
-    | _ ->
-        let a = Array.make m S.zero in
-        { wget = (fun i -> a.(i)); wset = (fun i v -> a.(i) <- v) }
-
-  (* View an existing boxed array as working storage (in place) — used by
-     the worked-example tests to inspect intermediate states. *)
   let work_of_array (a : S.t array) : work =
     { wget = (fun i -> a.(i)); wset = (fun i v -> a.(i) <- v) }
+
+  let work_make m = work_of_array (Array.make m S.zero)
 
   type ctx = {
     dev : Device.t;

@@ -15,17 +15,16 @@ module Make (S : Plr_util.Scalar.S) : sig
 
   type work = { wget : int -> S.t; wset : int -> S.t -> unit }
   (** Accessors over one chunk's working storage (the modeled device's
-      registers/shared memory).  {!work_make} backs it with unboxed
-      {!Plr_util.Buf.t} float64 storage for float scalars (binary64 holds
-      every emulated-binary32 value exactly) and a boxed [S.t array]
-      otherwise; the kernels below only see the accessors, so the charged
-      device counters are identical either way. *)
+      registers/shared memory).  The kernels below only see the
+      accessors. *)
 
   val work_make : int -> work
+  (** {!work_of_array} over a fresh [S.t array] of the given length
+      (flat for float scalars). *)
 
   val work_of_array : S.t array -> work
-  (** View an existing boxed array as working storage, in place (no
-      copy) — lets tests inspect intermediate chunk states. *)
+  (** View an existing array as working storage, in place (no copy) —
+      lets tests inspect intermediate chunk states. *)
 
   type ctx = {
     dev : Device.t;

@@ -39,9 +39,9 @@ let violation_to_string = function
         index
 
 (* The guard's float loops, typed [float array] so that no element is
-   boxed: the first non-finite index, a prefix staged for
-   [Serial.full_into], and the first index from [i] on where the output
-   leaves the reference by more than [tol] (or is NaN there). *)
+   boxed: the first non-finite index, and the first index from [i] on
+   where the output leaves the reference by more than [tol] (or is NaN
+   there). *)
 let first_non_finite (a : float array) =
   let n = Array.length a and i = ref 0 in
   while !i < n && Float.is_finite (Array.unsafe_get a !i) do
@@ -49,16 +49,9 @@ let first_non_finite (a : float array) =
   done;
   if !i < n then Some !i else None
 
-let stage (x : float array) p =
-  let b = Plr_util.Buf.create p in
-  for i = 0 to p - 1 do
-    Bigarray.Array1.unsafe_set b i x.(i)
-  done;
-  b
-
-let rec past_tol ~tol (r : Plr_util.Buf.t) (out : float array) i =
-  if i = Bigarray.Array1.dim r
-     || not (Float.abs (Bigarray.Array1.unsafe_get r i -. out.(i)) <= tol)
+let rec past_tol ~tol (r : float array) (out : float array) i =
+  if i = Array.length r
+     || not (Float.abs (Array.unsafe_get r i -. out.(i)) <= tol)
   then i
   else past_tol ~tol r out (i + 1)
 
@@ -113,8 +106,8 @@ module Make (S : Plr_util.Scalar.S) = struct
     in
     (* Serial reference prefix, shared by every attempt's forward-error
        check; computed at most once and only if an attempt gets that far.
-       Floats stage the prefix into unboxed storage for
-       [Serial.full_into], which is bitwise [Serial.full]. *)
+       Floats take it from the serial kernel, written straight from [x]
+       into a [p]-element array: bitwise [Serial.full]'s prefix. *)
     let p =
       match check with
       | No_reference -> 0
@@ -130,9 +123,9 @@ module Make (S : Plr_util.Scalar.S) = struct
       | _, Plr_util.Scalar.Float_rep _ ->
           let reference =
             lazy
-              (let dst = Plr_util.Buf.create p in
-               Serial.full_into s ~src:(stage x p) ~dst;
-               dst)
+              (let r = Array.make p 0.0 in
+               Serial.solve s x r ~base:0 ~lo:0 ~hi:p;
+               r)
           in
           fun out ->
             let r = Lazy.force reference in
@@ -141,7 +134,7 @@ module Make (S : Plr_util.Scalar.S) = struct
               let i = past_tol ~tol r out i in
               if i = p then None
               else
-                let expected = Plr_util.Buf.uget r i and got = out.(i) in
+                let expected = r.(i) and got = out.(i) in
                 if S.approx_equal ~tol expected got then first (i + 1)
                 else divergence i got expected
             in

@@ -426,6 +426,13 @@ module Make (S : Plr_util.Scalar.S) = struct
     | Some index ->
         Error (Failed (Guard.violation_to_string (Guard.Non_finite { index })))
 
+  (* The fastest OCaml serial evaluator: the flat kernel into a fresh
+     output, bitwise [Serial.full]. *)
+  let serial s x =
+    let y = Array.make (Array.length x) S.zero in
+    Serial.full_into s ~src:x ~dst:y;
+    y
+
   (* A ready JIT kernel answers first: its output is verified
      bitwise-identical to [Serial.full] on first use. *)
   let try_jit t jit x =
@@ -652,7 +659,7 @@ module Make (S : Plr_util.Scalar.S) = struct
   (* The recurrence's route.  The plan entry's [serial_cutoff], decided
      when the plan was built, keeps short requests on the calling domain:
      at these lengths the chunked protocol cannot win, and the serial
-     evaluation is the reference the guard would check against.  Longer
+     kernel is bitwise the reference the guard would check against.  Longer
      ones run guarded, short to the calling domain while the signature's
      breaker is open.  A validated kernel needs no pool, so it runs on
      the calling domain too; only the pooled engine takes a shard, whose
@@ -672,7 +679,7 @@ module Make (S : Plr_util.Scalar.S) = struct
           finite t
             (match try_jit t (kernel entry) x with
             | Some y -> y
-            | None -> Serial.full s x))
+            | None -> serial s x))
     in
     if n <= entry.serial_cutoff then local ()
     else
@@ -684,7 +691,7 @@ module Make (S : Plr_util.Scalar.S) = struct
           match kernel entry with
           | Some jb as jit when G.JB.validated jb ->
               Local
-                (fun () -> guarded t key entry ~jit ~fallback:Serial.full s x)
+                (fun () -> guarded t key entry ~jit ~fallback:serial s x)
           | _ ->
               let sh = exec_shard t home in
               let entry =

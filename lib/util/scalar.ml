@@ -15,8 +15,9 @@ type rounding =
   | Round_f32 (** round every operation to binary32 (the {!F32} emulation) *)
 
 (* Representation witness: matching on [S.rep] refines [S.t] statically,
-   so kernels can be monomorphized onto flat [int array]s or unboxed
-   [Buf.t] storage without any copy or [Obj.magic]. *)
+   so kernels can be monomorphized onto the flat [int array] or
+   [float array] an [S.t array] already is, without any copy or
+   [Obj.magic]. *)
 type _ rep =
   | Int_rep : int rep
   | Float_rep : rounding -> float rep

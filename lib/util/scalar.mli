@@ -21,8 +21,8 @@ type _ rep =
   | Other_rep : 'a rep
       (** Representation witness.  Matching on [S.rep] refines [S.t]
           statically, so the CPU backends can monomorphize their kernels
-          onto flat [int array]s or unboxed {!Buf.t} storage with no copy
-          and no [Obj.magic].  [Int_rep]/[Float_rep] additionally promise
+          onto the flat [int array] or [float array] an [S.t array]
+          already is, with no copy and no [Obj.magic].  [Int_rep]/[Float_rep] additionally promise
           that [add]/[sub]/[mul]/[neg] are exactly the native operations
           (composed with the given rounding step for floats); semirings
           with exotic operations must declare [Other_rep]. *)

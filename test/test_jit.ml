@@ -18,7 +18,6 @@
 
 module Scalar = Plr_util.Scalar
 module Splitmix = Plr_util.Splitmix
-module Buf = Plr_util.Buf
 module Jit = Plr_jit.Jit
 module Backend = Plr_jit.Backend
 module Trace = Plr_trace.Trace
@@ -156,6 +155,10 @@ module Sweep (S : Scalar.S) = struct
             | None -> Alcotest.failf "%s: jit unavailable" what);
             check_bool (what ^ " validated after first use") true
               (JB.validated jb);
+            let dst = Array.make n S.zero in
+            check_bool (what ^ " run_into answers") true
+              (JB.run_into jb ~src:x ~dst);
+            check_bitwise ~what:(what ^ " jit run_into vs serial") expected dst;
             (* the chunked kernel replicates the OCaml sequential fallback
                operation for operation at the same chunk size *)
             let seq = Multi.run_sequential_fallback ~chunk_size:m s x in
@@ -294,7 +297,7 @@ let test_first_use_edge_input () =
 
 (* ------------------------------------------------ run_into contract *)
 
-(* A validated kernel writes [Buf.length src] outputs straight through
+(* A validated kernel writes [Array.length src] outputs straight through
    [dst]'s pointer: a short [dst] would write past its end, and
    [dst == src] would read inputs it has already overwritten.  Both are
    refused before the kernel runs. *)
@@ -308,8 +311,9 @@ let test_run_into_contract () =
     | None -> Alcotest.fail "prepare returned None with a toolchain present"
   in
   let n = 1 lsl 16 in
-  let src = Buf.init n (fun i -> Plr_util.F32.round (sin (float_of_int i))) in
-  check_bool "first use validates" true (JBf.run_into jb ~src ~dst:(Buf.create n));
+  let src = Array.init n (fun i -> Plr_util.F32.round (sin (float_of_int i))) in
+  check_bool "first use validates" true
+    (JBf.run_into jb ~src ~dst:(Array.make n 0.0));
   check_bool "validated" true (JBf.validated jb);
   let rejects what dst =
     check_bool what true
@@ -317,7 +321,7 @@ let test_run_into_contract () =
       | _ -> false
       | exception Invalid_argument _ -> true)
   in
-  rejects "short dst raises" (Buf.create 16);
+  rejects "short dst raises" (Array.make 16 0.0);
   rejects "dst == src raises" src
 
 (* --------------------------------------------------- degradation pins *)

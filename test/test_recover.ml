@@ -6,10 +6,11 @@
    over session recovery under several faults, gaps and migrations, the
    serve layer's retry policy, the per-signature circuit breaker's
    trip → open → half-open → closed walk, and mid-flight deadline
-   cancellation.
+   cancellation.  A second shrinking property checks the serial kernel
+   and the multicore engine against [Companion.at].
 
-   The property runs 100 cases per scalar, 1000 with [QCHECK_LONG=1];
-   [QCHECK_SEED=N] fixes its seed. *)
+   The properties run 100 cases (per scalar), 1000 with
+   [QCHECK_LONG=1]; [QCHECK_SEED=N] fixes their seed. *)
 
 module Scalar = Plr_util.Scalar
 module Splitmix = Plr_util.Splitmix
@@ -108,6 +109,86 @@ let test_at_vs_serial () =
         want_step.(j)
         (Comp_i.at ~input:`Step c j))
     [ 0; 1; 2; 3; 7; 64; 299 ]
+
+(* A second oracle for the serial kernel, which every CPU backend now
+   shares: over generated int signatures (orders 1–4, 1–3 taps,
+   coefficients in [-3, 3], so values wrap), [Serial.full_into] and
+   [Multicore.run] on a two-domain pool with chunks near k, driven by a
+   unit impulse or a unit step of up to 2^12 elements, equal
+   [Companion.at] bitwise at sampled indices, always including 0, k-1, k
+   and n-1.  The skip-ahead reassociates the products, which wrapping
+   int arithmetic leaves exact. *)
+module Companion_oracle = struct
+  module M = Plr_multicore.Multicore.Make (Scalar.Int)
+
+  type case = {
+    forward : int array;
+    feedback : int array;
+    input : [ `Impulse | `Step ];
+    n : int;
+    chunk_size : int;
+    samples : int list;
+  }
+
+  let show_array a =
+    "[|" ^ String.concat "; " (Array.to_list (Array.map string_of_int a)) ^ "|]"
+
+  let print c =
+    Printf.sprintf "forward %s feedback %s %s n=%d chunk_size=%d samples=[%s]"
+      (show_array c.forward) (show_array c.feedback)
+      (match c.input with `Impulse -> "impulse" | `Step -> "step")
+      c.n c.chunk_size
+      (String.concat "; " (List.map string_of_int c.samples))
+
+  let gen =
+    let open QCheck2.Gen in
+    let coeffs len =
+      map2
+        (fun init last -> Array.append init [| last |])
+        (array_size (return (len - 1)) (int_range (-3) 3))
+        (oneofl [ -3; -2; -1; 1; 2; 3 ])
+    in
+    let* k = int_range 1 4 and* taps = int_range 1 3 in
+    let* forward = coeffs taps and* feedback = coeffs k in
+    let* input = oneofl [ `Impulse; `Step ] in
+    let* n = int_range 1 (1 lsl 12) in
+    let* chunk_size = int_range k (k + 3) in
+    let+ samples = list_size (int_range 0 8) (int_range 0 (n - 1)) in
+    { forward; feedback; input; n; chunk_size; samples }
+
+  let pool = lazy (Plr_exec.Pool.get ~domains:2 ())
+
+  let holds c =
+    let s = int_sig c.forward c.feedback in
+    let x =
+      Array.init c.n (fun i ->
+          match c.input with `Impulse -> if i = 0 then 1 else 0 | `Step -> 1)
+    in
+    let flat = Array.make c.n 0 in
+    Si.full_into s ~src:x ~dst:flat;
+    let pooled =
+      M.run ~pool:(Lazy.force pool) ~chunk_size:c.chunk_size s x
+    in
+    let comp = Comp_i.compile s in
+    let k = Array.length c.feedback in
+    List.iter
+      (fun i ->
+        if i >= 0 && i < c.n then begin
+          let want = Comp_i.at ~input:c.input comp i in
+          if flat.(i) <> want then
+            QCheck2.Test.fail_reportf "y(%d): Serial.full_into %d, Companion.at %d"
+              i flat.(i) want;
+          if pooled.(i) <> want then
+            QCheck2.Test.fail_reportf "y(%d): Multicore.run %d, Companion.at %d" i
+              pooled.(i) want
+        end)
+      ([ 0; k - 1; k; c.n - 1 ] @ c.samples);
+    true
+
+  let test name =
+    QCheck_alcotest.to_alcotest
+      (QCheck2.Test.make ~name ~count:100 ~long_factor:10 ~print gen holds)
+end
 
 let test_checkpoint_integrity () =
   let s = int_sig [| 1; 1 |] [| 2; -1 |] in
@@ -600,7 +681,9 @@ let () =
             test_advance_float_tolerance;
           Alcotest.test_case "at vs serial" `Quick test_at_vs_serial;
           Alcotest.test_case "checkpoint integrity" `Quick
-            test_checkpoint_integrity ] );
+            test_checkpoint_integrity;
+          Companion_oracle.test
+            "Serial.full_into and Multicore.run = Companion.at" ] );
       ( "session",
         [ Alcotest.test_case "200-trial chaos campaign" `Quick
             test_session_campaign;

@@ -390,7 +390,7 @@ let test_unstable_guard_never_masks () =
 (* ------------------------------------------ unboxed checks (properties) *)
 
 (* The guard's float checks loop over the flat array and take their
-   reference from [Serial.full_into].  The boxed forms they replaced stay
+   reference from the serial kernel.  The boxed forms they replaced stay
    here as the oracle: a first non-finite index, and a first divergence
    from the boxed [Serial.full] prefix under [S.approx_equal].  Outputs
    are the serial result with edits (NaN, +-inf, -0.0, binary32

@@ -1,9 +1,9 @@
-(* Tests for the unboxed float64 storage path: Buf primitives, a
+(* Tests for the flat storage path: the benchmark's Buf shim, a
    randomized cross-backend bitwise equivalence sweep (every storage path
-   must reproduce the boxed serial reference bit for bit), a shrinking
-   property over the order-specialized kernels and sweeps at edge values,
-   the [*_into] buffer contract, and a steady-state allocation pin on the
-   unboxed entry point.
+   must reproduce the boxed serial reference bit for bit), shrinking
+   properties over the serial entry, the order-specialized kernels and
+   the sweeps at edge values, the [*_into] buffer contract, and a
+   steady-state allocation pin on the unboxed entry point.
 
    The property runs 300 cases per scalar, 3000 with [QCHECK_LONG=1];
    [QCHECK_SEED=N] fixes its seed. *)
@@ -21,35 +21,21 @@ let check_int = Alcotest.(check int)
 
 (* ---------------------------------------------------------------- Buf *)
 
+(* The shim is the benchmark's: a [float array] under the six functions
+   it calls. *)
 let test_buf_basics () =
   let b = Buf.create 5 in
   check_int "length" 5 (Buf.length b);
   for i = 0 to 4 do
-    check_bool "zero-filled" true (Buf.get b i = 0.0)
+    check_bool "zero-filled" true (Buf.uget b i = 0.0)
   done;
   Buf.set b 2 1.5;
-  check_bool "set/get" true (Buf.get b 2 = 1.5);
-  let a = [| 1.0; 2.0; 3.0; 4.0 |] in
-  let c = Buf.of_array a in
-  check_bool "of_array/to_array roundtrip" true (Buf.to_array c = a);
-  (* sub is a zero-copy view: writes show through to the parent *)
-  let v = Buf.sub c ~pos:1 ~len:2 in
-  Buf.set v 0 9.0;
-  check_bool "sub aliases parent" true (Buf.get c 1 = 9.0);
-  let d = Buf.create 4 in
-  Buf.blit ~src:c ~dst:d;
-  check_bool "blit" true (Buf.to_array d = Buf.to_array c);
-  let e = Buf.create 2 in
-  Buf.blit_range ~src:c ~src_pos:2 ~dst:e ~dst_pos:0 ~len:2;
-  check_bool "blit_range" true
-    (Buf.get e 0 = Buf.get c 2 && Buf.get e 1 = Buf.get c 3);
+  check_bool "set/uget" true (Buf.uget b 2 = 1.5);
   let f = Buf.init 3 (fun i -> float_of_int i *. 2.0) in
-  check_bool "init" true (Buf.to_array f = [| 0.0; 2.0; 4.0 |]);
-  let arr = [| 0.0; 0.0; 0.0 |] in
-  Buf.blit_to_array f arr;
-  check_bool "blit_to_array" true (arr = [| 0.0; 2.0; 4.0 |]);
-  Buf.blit_from_array [| 7.0; 8.0; 9.0 |] f;
-  check_bool "blit_from_array" true (Buf.to_array f = [| 7.0; 8.0; 9.0 |])
+  check_bool "init" true (f = [| 0.0; 2.0; 4.0 |]);
+  let d = Buf.create 3 in
+  Buf.blit ~src:f ~dst:d;
+  check_bool "blit" true (d = f)
 
 (* ------------------------------------- cross-backend bitwise sweep *)
 
@@ -71,7 +57,8 @@ let benign =
      IS the contract: [full_into] vs [full], live [run_into] vs the boxed
      replay of its schedule, and [run] across pool sizes under one
      (chunk, window) schedule all execute the identical operation and
-     rounding sequence, so any drift is a bug. *)
+     rounding sequence, so any drift is a bug.  Every scalar runs both
+     [*_into] entries. *)
 module Sweep (S : Scalar.S) = struct
   module Serial = Plr_serial.Serial.Make (S)
   module Multi = Plr_multicore.Multicore.Make (S)
@@ -123,36 +110,23 @@ module Sweep (S : Scalar.S) = struct
         | Ok () -> ()
         | Error m -> Alcotest.failf "%s: %s" what m)
 
-  (* The unboxed entry points only exist for float scalars; rep matching
-     refines S.t = float so Buf conversions typecheck without copies of
-     the test per scalar.  Each pairs an unboxed path with the boxed
-     computation it must reproduce bit for bit.  [Multicore.run] answers
-     unfaulted float calls with [run_into] itself, so the boxed side of
-     the second pair is a benign fault plan: it replays the same chunks
-     under the replay's look-back window on the boxed kernels. *)
-  let storage_pairs ~pool ~opts ~chunk_size :
-      (string
-      * (S.t Signature.t -> S.t array -> S.t array)
-      * (S.t Signature.t -> S.t array -> S.t array))
-      list =
-    match S.rep with
-    | Scalar.Float_rep _ ->
-        [ ( "full_into vs full",
-            (fun s x -> Serial.full s x),
-            fun s x ->
-              let src = Buf.of_array x in
-              let dst = Buf.create (Array.length x) in
-              Serial.full_into s ~src ~dst;
-              Buf.to_array dst );
-          ( "run_into vs boxed replay",
-            (fun s x -> Multi.run ~opts ~pool ~chunk_size ~faults:benign s x),
-            fun s x ->
-              let src = Buf.of_array x in
-              let dst = Buf.create (Array.length x) in
-              Multi.run_into ~opts ~pool ~chunk_size
-                ~window:Multicore.faulted_lookback_window s ~src ~dst;
-              Buf.to_array dst ) ]
-    | _ -> []
+  (* Each pairs a flat-storage path with the boxed computation it must
+     reproduce bit for bit.  [Multicore.run] answers unfaulted calls with
+     [run_into] itself, so the boxed side of the second pair is a benign
+     fault plan: it replays the same chunks under the replay's look-back
+     window on the boxed kernels. *)
+  let storage_pairs ~pool ~opts ~chunk_size =
+    let into f s x =
+      let dst = Array.make (Array.length x) S.zero in
+      f s ~src:x ~dst;
+      dst
+    in
+    [ ("full_into vs full", Serial.full, into Serial.full_into);
+      ( "run_into vs boxed replay",
+        (fun s x -> Multi.run ~opts ~pool ~chunk_size ~faults:benign s x),
+        into (fun s ~src ~dst ->
+            Multi.run_into ~opts ~pool ~chunk_size
+              ~window:Multicore.faulted_lookback_window s ~src ~dst) ) ]
 
   let stream_runner ~pool ~g s x =
     let st = Stream.create ~pool s in
@@ -216,17 +190,6 @@ module Sweep_f64 = Sweep (Scalar.F64)
 module Sweep_f32 = Sweep (Scalar.F32)
 module Sweep_int = Sweep (Scalar.Int)
 
-let test_run_into_rejects_int () =
-  let module Mi = Plr_multicore.Multicore.Make (Scalar.Int) in
-  let s =
-    Signature.create ~is_zero:(fun c -> c = 0) ~forward:[| 1 |] ~feedback:[| 1 |]
-  in
-  let src = Buf.create 8 and dst = Buf.create 8 in
-  check_bool "run_into rejects non-float scalars" true
-    (match Mi.run_into s ~src ~dst with
-    | () -> false
-    | exception Invalid_argument _ -> true)
-
 (* ------------------------------------------ order-specialized kernels *)
 
 (* A shrinking property over the kernels every storage path runs:
@@ -236,6 +199,12 @@ let test_run_into_rejects_int () =
      chunks, pools of one and two domains.  Ints must equal
      [Serial.full]; floats must equal the boxed replay of the same
      schedule bit for bit, NaN payloads included;
+   - the serial entry: the same signatures, each chunk solved from its
+     own start in two calls split at a generated offset, as the
+     multicore chunk solve and a stream piece call it.  The dispatched
+     kernel must equal the boxed loop on the same calls, and the
+     whole-array solve must equal [Serial.full], bit for bit, for [Int],
+     F32, F64 and the boxed [Int32s];
    - sweeps: factor lists shaped to compile as every class (periodic and
      tabled 0/1, repeating, decayed, dense, all-equal).  The unboxed
      sweep must equal the boxed [apply_list];
@@ -335,23 +304,54 @@ module Kernel_props (S : Scalar.S) = struct
 
   let pools = lazy (Array.init 2 (fun i -> Pool.get ~domains:(i + 1) ()))
 
+  let signature c =
+    Signature.create ~is_zero:S.is_zero ~forward:c.forward ~feedback:c.feedback
+
   let solve_agrees c =
-    let s =
-      Signature.create ~is_zero:S.is_zero ~forward:c.forward
-        ~feedback:c.feedback
-    in
+    let s = signature c in
     let pool = (Lazy.force pools).(c.domains - 1) in
     let chunk_size = c.chunk_size in
+    let dst = Array.make (Array.length c.x) S.zero in
+    Multi.run_into ~pool ~chunk_size ~window:Multicore.faulted_lookback_window
+      s ~src:c.x ~dst;
     match S.rep with
     | Scalar.Float_rep _ ->
-        let src = Buf.of_array c.x in
-        let dst = Buf.create (Array.length c.x) in
-        Multi.run_into ~pool ~chunk_size
-          ~window:Multicore.faulted_lookback_window s ~src ~dst;
-        bitwise
-          (Multi.run ~pool ~chunk_size ~faults:benign s c.x)
-          (Buf.to_array dst)
-    | _ -> bitwise (Serial.full s c.x) (Multi.run ~pool ~chunk_size s c.x)
+        bitwise (Multi.run ~pool ~chunk_size ~faults:benign s c.x) dst
+    | _ -> bitwise (Serial.full s c.x) dst
+
+  let gen_entry = QCheck2.Gen.(pair gen_solve (int_range 0 6))
+
+  let print_entry (c, split) =
+    Printf.sprintf "%s split=%d" (print_solve c) split
+
+  (* Chunks of [m] outputs, each solved from its own start in two calls
+     split [split] outputs in. *)
+  let chunked solve s x ~m ~split =
+    let n = Array.length x in
+    let y = Array.make n S.zero in
+    let base = ref 0 in
+    while !base < n do
+      let hi = min n (!base + m) in
+      let mid = min hi (!base + split) in
+      solve s x y ~base:!base ~lo:!base ~hi:mid;
+      solve s x y ~base:!base ~lo:mid ~hi;
+      base := hi
+    done;
+    y
+
+  let entry_agrees (c, split) =
+    let s = signature c in
+    let boxed (s : S.t Signature.t) x y =
+      Serial.solve_boxed ~forward:s.forward ~feedback:s.feedback x y
+    in
+    let m = c.chunk_size in
+    if not (bitwise (chunked boxed s c.x ~m ~split)
+              (chunked Serial.solve s c.x ~m ~split))
+    then QCheck2.Test.fail_report "chunked solve differs from the boxed loop";
+    let whole = chunked Serial.solve s c.x ~m:(Array.length c.x) ~split in
+    if not (bitwise (Serial.full s c.x) whole) then
+      QCheck2.Test.fail_report "whole-array solve differs from Serial.full";
+    true
 
   type sweep = { shape : string; raw : S.t array; carry : S.t; y : S.t array }
 
@@ -385,19 +385,15 @@ module Kernel_props (S : Scalar.S) = struct
     let+ y = array_size (return m) value in
     { shape; raw; carry; y }
 
-  (* The unboxed sweep of list 0 over the whole of [y]. *)
+  (* The unboxed sweep of list 0 over a copy of [y]. *)
   let unboxed_sweep fp ~carry (y : S.t array) : S.t array =
     let m = Array.length y in
-    match S.rep with
-    | Scalar.Float_rep _ ->
-        let b = Buf.of_array y in
-        FP.apply_list_f fp ~j:0 ~carry b ~base:0 ~len:m;
-        Buf.to_array b
-    | Scalar.Int_rep ->
-        let y = Array.copy y in
-        FP.apply_list_int fp ~j:0 ~carry y ~base:0 ~len:m;
-        y
-    | Scalar.Other_rep -> y
+    let y = Array.copy y in
+    (match S.rep with
+    | Scalar.Float_rep _ -> FP.apply_list_f fp ~j:0 ~carry y ~base:0 ~len:m
+    | Scalar.Int_rep -> FP.apply_list_int fp ~j:0 ~carry y ~base:0 ~len:m
+    | Scalar.Other_rep -> ());
+    y
 
   let sweep_agrees c =
     let m = Array.length c.raw in
@@ -409,24 +405,35 @@ module Kernel_props (S : Scalar.S) = struct
         (FP.describe fp 0);
     true
 
-  let tests =
-    let scalar, oracle =
-      match S.rep with
-      | Scalar.Float_rep Scalar.Round_f32 -> ("f32", "boxed replay")
-      | Scalar.Float_rep Scalar.Exact -> ("f64", "boxed replay")
-      | _ -> (S.ctype, "Serial.full")
-    in
-    [ qcheck
-        ~name:(Printf.sprintf "%s solve = %s" scalar oracle)
-        ~print:print_solve gen_solve solve_agrees;
+  (* A boxed scalar has no flat solve or sweep of its own: only the
+     entry's property applies. *)
+  let tests ~scalar =
+    let entry =
       qcheck
-        ~name:(scalar ^ " sweep = boxed")
-        ~print:print_sweep gen_sweep sweep_agrees ]
+        ~name:(scalar ^ " entry = boxed loop and Serial.full")
+        ~print:print_entry gen_entry entry_agrees
+    in
+    match S.rep with
+    | Scalar.Other_rep -> [ entry ]
+    | _ ->
+        let oracle =
+          match S.rep with
+          | Scalar.Float_rep _ -> "boxed replay"
+          | _ -> "Serial.full"
+        in
+        [ qcheck
+            ~name:(Printf.sprintf "%s solve = %s" scalar oracle)
+            ~print:print_solve gen_solve solve_agrees;
+          qcheck
+            ~name:(scalar ^ " sweep = boxed")
+            ~print:print_sweep gen_sweep sweep_agrees;
+          entry ]
 end
 
 module Props_int = Kernel_props (Scalar.Int)
 module Props_f32 = Kernel_props (Scalar.F32)
 module Props_f64 = Kernel_props (Scalar.F64)
+module Props_int32 = Kernel_props (Scalar.Int32s)
 
 let prop_round_cell =
   let gen =
@@ -452,29 +459,46 @@ let prop_round_cell =
 
 (* -------------------------------------------------- *_into contract *)
 
-(* The float [*_into] evaluators write an output before they have read
-   every input a later output needs, so [dst == src] is refused, like a
-   [dst] too short to hold the result. *)
+(* The [*_into] evaluators write an output before they have read every
+   input a later output needs, so [dst == src] is refused, like a [dst]
+   too short to hold the result.  OCaml shares one empty array, so two
+   distinct empty arrays are [==] and must still be accepted. *)
 let test_into_contract () =
   let module S = Scalar.F64 in
   let module Serial = Plr_serial.Serial.Make (S) in
   let module M = Plr_multicore.Multicore.Make (S) in
+  let module JB = Plr_jit.Backend.Make (S) in
   let s =
     Signature.create ~is_zero:(fun c -> c = 0.0) ~forward:[| 0.5 |]
       ~feedback:[| 1.5; -0.7 |]
   in
-  let src = Buf.init 4096 (fun i -> sin (float_of_int i)) in
-  let rejects what run =
-    check_bool what true
-      (match run () with () -> false | exception Invalid_argument _ -> true)
+  let src = Array.init 4096 (fun i -> sin (float_of_int i)) in
+  let outcome run ~src ~dst =
+    match run ~src ~dst with
+    | () -> `Accepted
+    | exception Invalid_argument _ -> `Refused
+  in
+  let jit =
+    let fplan = JB.F.of_feedback ~feedback:s.Signature.feedback ~m:64 () in
+    match JB.prepare ~mode:`Sync ~fplan s with
+    | Some jb ->
+        [ ( "Backend.run_into",
+            fun ~src ~dst -> ignore (JB.run_into jb ~src ~dst : bool) ) ]
+    | None -> []
   in
   List.iter
     (fun (name, run) ->
-      rejects (name ^ ": short dst") (fun () -> run ~src ~dst:(Buf.create 16));
-      rejects (name ^ ": dst == src") (fun () -> run ~src ~dst:src))
-    [ ("Serial.full_into", fun ~src ~dst -> Serial.full_into s ~src ~dst);
-      ( "Multicore.run_into",
-        fun ~src ~dst -> M.run_into ~chunk_size:512 s ~src ~dst ) ]
+      check_bool (name ^ ": short dst refused") true
+        (outcome run ~src ~dst:(Array.make 16 0.0) = `Refused);
+      check_bool (name ^ ": dst == src refused") true
+        (outcome run ~src ~dst:src = `Refused);
+      check_bool (name ^ ": distinct empty arrays accepted") true
+        (outcome run ~src:(Array.make 0 0.0) ~dst:(Array.make 0 0.0)
+        = `Accepted))
+    ([ ("Serial.full_into", fun ~src ~dst -> Serial.full_into s ~src ~dst);
+       ( "Multicore.run_into",
+         fun ~src ~dst -> M.run_into ~chunk_size:512 s ~src ~dst ) ]
+    @ jit)
 
 (* ----------------------------------------------- steady-state alloc *)
 
@@ -498,8 +522,8 @@ let test_run_into_steady_state_alloc () =
   in
   let pool = Pool.get ~domains:1 () in
   let g = Splitmix.create 0xa110c in
-  let src = Buf.init n (fun _ -> Splitmix.float_in g ~lo:(-1.0) ~hi:1.0) in
-  let dst = Buf.create n in
+  let src = Array.init n (fun _ -> Splitmix.float_in g ~lo:(-1.0) ~hi:1.0) in
+  let dst = Array.make n 0.0 in
   let run () =
     M.run_into ~opts:Opts.all_on ~plan ~pool ~chunk_size ~window:2 s ~src ~dst
   in
@@ -522,13 +546,14 @@ let () =
           Alcotest.test_case "f64 backends" `Quick Sweep_f64.sweep;
           Alcotest.test_case "f32 backends" `Quick Sweep_f32.sweep;
           Alcotest.test_case "int backends" `Quick Sweep_int.sweep;
-          Alcotest.test_case "run_into rejects int" `Quick
-            test_run_into_rejects_int;
           Alcotest.test_case "into rejects a short or aliased dst" `Quick
             test_into_contract;
         ] );
       ( "kernels",
-        Props_int.tests @ Props_f32.tests @ Props_f64.tests
+        Props_int.tests ~scalar:"int"
+        @ Props_f32.tests ~scalar:"f32"
+        @ Props_f64.tests ~scalar:"f64"
+        @ Props_int32.tests ~scalar:"int32"
         @ [ prop_round_cell ] );
       ( "allocation",
         [
