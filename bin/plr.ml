@@ -116,6 +116,8 @@ module Serial_int = Plr_serial.Serial.Make (Scalar.Int)
 module Serial_f32 = Plr_serial.Serial.Make (Scalar.F32)
 module Multi_int = Plr_multicore.Multicore.Make (Scalar.Int)
 module Multi_f32 = Plr_multicore.Multicore.Make (Scalar.F32)
+module Fp_int = Plr_factors.Factor_plan.Make (Scalar.Int)
+module Fp_f32 = Plr_factors.Factor_plan.Make (Scalar.F32)
 
 type backend = Sim | Cpu | Serial_backend | Jit_backend
 
@@ -132,12 +134,46 @@ let time_wall f =
   let r = f () in
   (r, Unix.gettimeofday () -. t0)
 
+(* The fastest of three calls of [f], each after [settle ()], and the
+   last call's result.  A backend's first call also pays for waking the
+   pool's domains and for cold caches.  The previous result is dropped
+   before [settle] runs, so a collection there can free it. *)
+let time_best ~settle f =
+  let best = ref infinity and last = ref None in
+  for _ = 1 to 3 do
+    last := None;
+    settle ();
+    let r, dt = time_wall f in
+    last := Some r;
+    best := Float.min !best dt
+  done;
+  (Option.get !last, !best)
+
 (* The time of the fastest OCaml serial evaluator: the flat kernel into a
    preallocated output.  The boxed [Serial.full] is the oracle, used for
    the [validation:] line only. *)
 let time_serial full_into zero s input =
   let dst = Array.make (Array.length input) zero in
-  snd (time_wall (fun () -> full_into s ~src:input ~dst))
+  snd (time_best ~settle:ignore (fun () -> full_into s ~src:input ~dst))
+
+(* One backend against the flat serial kernel, each timed alike: [into]
+   writes a preallocated output of [n], as [time_serial] does.  [fresh]
+   is the same backend allocating its own output.  Each of its calls
+   follows a full major collection, as a batch round's does, so the
+   outputs freed before it are there to reuse; its line shows what the
+   allocation adds.  Both outputs are validated. *)
+let report_timed ~label ~zero ~into ~fresh ~serial ~validate n =
+  let dst = Array.make n zero in
+  let (), dt = time_best ~settle:ignore (fun () -> into dst) in
+  let st = serial () in
+  let output, ft = time_best ~settle:Gc.full_major fresh in
+  Printf.printf "%s: %.3f ms, serial: %.3f ms, speedup %.2fx\n" label
+    (dt *. 1e3) (st *. 1e3) (st /. dt);
+  Printf.printf "fresh output: %.3f ms\n" (ft *. 1e3);
+  Printf.printf "validation: %s\n"
+    (match Result.bind (validate dst) (fun () -> validate output) with
+    | Ok () -> "PASSED"
+    | Error m -> "FAILED — " ^ m)
 
 (* Named factor-specialization toggles for `run`.  The names match the
    flags Opts.pp prints. *)
@@ -194,33 +230,47 @@ let cmd_run text n backend domain domains opts_off ons offs =
         ~valid:(Serial_f32.validate ~expected r.Engine_f32.output)
   | `Int is, Cpu ->
       let input = random_int_input n in
-      let output, dt =
-        time_wall (fun () -> Multi_int.run ~opts ?domains is input)
+      let pool = Plr_exec.Pool.get ?domains () in
+      let m =
+        Multi_int.default_chunk_size ~domains:(Plr_exec.Pool.size pool) n
       in
-      let st = time_serial Serial_int.full_into 0 is input in
-      let expected = Serial_int.full is input in
-      Printf.printf "backend: multicore CPU (%d domains)\n" (pool_size domains);
-      Printf.printf "parallel: %.3f ms, serial: %.3f ms, speedup %.2fx\n"
-        (dt *. 1e3) (st *. 1e3) (st /. dt);
-      Printf.printf "validation: %s\n"
-        (match Serial_int.validate ~expected output with
-        | Ok () -> "PASSED"
-        | Error m -> "FAILED — " ^ m)
+      let plan =
+        Fp_int.of_feedback ~opts
+          ~max_period:Plr_multicore.Multicore.cpu_max_period
+          ~feedback:is.Signature.feedback ~m ()
+      in
+      let expected = lazy (Serial_int.full is input) in
+      Printf.printf "backend: multicore CPU (%d domains)\n"
+        (Plr_exec.Pool.size pool);
+      report_timed ~label:"parallel" ~zero:0 n
+        ~into:(fun dst ->
+          Multi_int.run_into ~opts ~plan ~pool is ~src:input ~dst)
+        ~fresh:(fun () -> Multi_int.run ~opts ~plan ~pool is input)
+        ~serial:(fun () -> time_serial Serial_int.full_into 0 is input)
+        ~validate:(fun y ->
+          Serial_int.validate ~expected:(Lazy.force expected) y)
   | `Float, Cpu ->
       let fs = Signature.map Plr_util.F32.round s in
       let input = random_f32_input n in
-      let output, dt =
-        time_wall (fun () -> Multi_f32.run ~opts ?domains fs input)
+      let pool = Plr_exec.Pool.get ?domains () in
+      let m =
+        Multi_f32.default_chunk_size ~domains:(Plr_exec.Pool.size pool) n
       in
-      let st = time_serial Serial_f32.full_into 0.0 fs input in
-      let expected = Serial_f32.full fs input in
-      Printf.printf "backend: multicore CPU (%d domains)\n" (pool_size domains);
-      Printf.printf "parallel: %.3f ms, serial: %.3f ms, speedup %.2fx\n"
-        (dt *. 1e3) (st *. 1e3) (st /. dt);
-      Printf.printf "validation: %s\n"
-        (match Serial_f32.validate ~expected output with
-        | Ok () -> "PASSED"
-        | Error m -> "FAILED — " ^ m)
+      let plan =
+        Fp_f32.of_feedback ~opts
+          ~max_period:Plr_multicore.Multicore.cpu_max_period
+          ~feedback:fs.Signature.feedback ~m ()
+      in
+      let expected = lazy (Serial_f32.full fs input) in
+      Printf.printf "backend: multicore CPU (%d domains)\n"
+        (Plr_exec.Pool.size pool);
+      report_timed ~label:"parallel" ~zero:0.0 n
+        ~into:(fun dst ->
+          Multi_f32.run_into ~opts ~plan ~pool fs ~src:input ~dst)
+        ~fresh:(fun () -> Multi_f32.run ~opts ~plan ~pool fs input)
+        ~serial:(fun () -> time_serial Serial_f32.full_into 0.0 fs input)
+        ~validate:(fun y ->
+          Serial_f32.validate ~expected:(Lazy.force expected) y)
   | `Int is, Serial_backend ->
       let input = random_int_input n in
       let st = time_serial Serial_int.full_into 0 is input in
@@ -246,26 +296,23 @@ let cmd_run text n backend domain domains opts_off ons offs =
           let st = time_serial Serial_int.full_into 0 is input in
           Printf.printf "serial: %.3f ms\n" (st *. 1e3)
       | Some jb -> (
-          (* First call compiles nothing further but verifies the kernel
-             bitwise against the serial reference; time the second. *)
+          (* The first call verifies the kernel bitwise against the
+             serial reference; the timed calls follow it. *)
           match Jit_int.run jb input with
           | None ->
               Printf.printf "backend: jit build failed — serial fallback\n";
               let st = time_serial Serial_int.full_into 0 is input in
               Printf.printf "serial: %.3f ms\n" (st *. 1e3)
           | Some _ ->
-              let output, dt =
-                time_wall (fun () -> Option.get (Jit_int.run jb input))
-              in
-              let st = time_serial Serial_int.full_into 0 is input in
-              let expected = Serial_int.full is input in
+              let expected = lazy (Serial_int.full is input) in
               Printf.printf "backend: native JIT (C, verified bitwise)\n";
-              Printf.printf "jit: %.3f ms, serial: %.3f ms, speedup %.2fx\n"
-                (dt *. 1e3) (st *. 1e3) (st /. dt);
-              Printf.printf "validation: %s\n"
-                (match Serial_int.validate ~expected output with
-                | Ok () -> "PASSED"
-                | Error m -> "FAILED — " ^ m)))
+              report_timed ~label:"jit" ~zero:0 n
+                ~into:(fun dst ->
+                  ignore (Jit_int.run_into jb ~src:input ~dst : bool))
+                ~fresh:(fun () -> Option.get (Jit_int.run jb input))
+                ~serial:(fun () -> time_serial Serial_int.full_into 0 is input)
+                ~validate:(fun y ->
+                  Serial_int.validate ~expected:(Lazy.force expected) y)))
   | `Float, Jit_backend ->
       let fs = Signature.map Plr_util.F32.round s in
       let input = random_f32_input n in
@@ -287,18 +334,16 @@ let cmd_run text n backend domain domains opts_off ons offs =
               let st = time_serial Serial_f32.full_into 0.0 fs input in
               Printf.printf "serial: %.3f ms\n" (st *. 1e3)
           | Some _ ->
-              let output, dt =
-                time_wall (fun () -> Option.get (Jit_f32.run jb input))
-              in
-              let st = time_serial Serial_f32.full_into 0.0 fs input in
-              let expected = Serial_f32.full fs input in
+              let expected = lazy (Serial_f32.full fs input) in
               Printf.printf "backend: native JIT (C, verified bitwise)\n";
-              Printf.printf "jit: %.3f ms, serial: %.3f ms, speedup %.2fx\n"
-                (dt *. 1e3) (st *. 1e3) (st /. dt);
-              Printf.printf "validation: %s\n"
-                (match Serial_f32.validate ~expected output with
-                | Ok () -> "PASSED"
-                | Error m -> "FAILED — " ^ m)))
+              report_timed ~label:"jit" ~zero:0.0 n
+                ~into:(fun dst ->
+                  ignore (Jit_f32.run_into jb ~src:input ~dst : bool))
+                ~fresh:(fun () -> Option.get (Jit_f32.run jb input))
+                ~serial:(fun () ->
+                  time_serial Serial_f32.full_into 0.0 fs input)
+                ~validate:(fun y ->
+                  Serial_f32.validate ~expected:(Lazy.force expected) y)))
 
 (* ------------------------------------------------------------- emit *)
 

@@ -5,14 +5,19 @@
    [None] — after recording a [jit.fallback] instant with a reason code —
    whenever the kernel cannot be used: JIT disabled, scalar unsupported,
    toolchain missing, build still in flight, build failed, or the kernel
-   poisoned by a first-use mismatch.  Callers keep their OCaml path as
-   the fallback.
+   poisoned by a verification mismatch.  Callers keep their OCaml path
+   as the fallback.
 
-   First-use validation: the first successful [run] per prepared backend
-   recomputes the same input through the OCaml serial reference and
-   compares bitwise (floats by their IEEE bit patterns).  A match
-   validates the kernel for the rest of the process; any mismatch
-   poisons it permanently and the call falls back. *)
+   Validation: until a kernel is validated, every [run] recomputes the
+   same input through the OCaml serial reference and compares bitwise
+   (floats by their IEEE bit patterns, any NaN agreeing with any NaN).
+   Any mismatch poisons the kernel permanently and the call falls back.
+   A match validates it for the rest of the process only when the input
+   was long enough to check the steady-state loop: at least k + 1
+   outputs past the guarded prologue of max (taps - 1) k, so the last
+   checked output used only feedback the loop wrote itself (the F32
+   register chain included).  A shorter match leaves the kernel
+   unchecked. *)
 
 module Trace = Plr_trace.Trace
 
@@ -45,6 +50,9 @@ module Make (S : Plr_util.Scalar.S) = struct
     cell : Jit.state Atomic.t;
     source : string;
     signature : S.t Signature.t;
+    validates_at : int;
+        (* the shortest checked input that validates: the prologue, then
+           k + 1 steady-state outputs *)
     validation : validation Atomic.t;
   }
 
@@ -56,6 +64,9 @@ module Make (S : Plr_util.Scalar.S) = struct
       cell = Jit.get_or_build ~mode source;
       source;
       signature = s;
+      validates_at =
+        (let k = Signature.order s in
+         max (Signature.fir_taps s - 1) k + k + 1);
       validation = Atomic.make Unchecked;
     }
 
@@ -169,18 +180,19 @@ module Make (S : Plr_util.Scalar.S) = struct
     match usable t with
     | None -> None
     | Some (fn, validation) ->
-        (* first use: verify this very input against the OCaml serial
-           reference before trusting the kernel *)
-        let first = validation <> Validated in
+        (* until validated: verify this very input against the OCaml
+           serial reference before trusting the kernel *)
+        let checked = validation <> Validated in
         Trace.begin_span2 Trace.Jit
-          (if first then "jit.verify" else "jit.run")
+          (if checked then "jit.verify" else "jit.run")
           (Array.length x) 0;
         let y = Array.make (Array.length x) S.zero in
         exec fn ~src:x ~dst:y;
-        let ok = (not first) || agrees y (Sr.full t.signature x) in
+        let ok = (not checked) || agrees y (Sr.full t.signature x) in
         Trace.end_span ();
         if ok then begin
-          if first then Atomic.set t.validation Validated;
+          if checked && Array.length x >= t.validates_at then
+            Atomic.set t.validation Validated;
           Some y
         end
         else begin
@@ -201,7 +213,7 @@ module Make (S : Plr_util.Scalar.S) = struct
             true
         | None -> false)
     | _ -> (
-        (* route the first call through [run] so it gets verified *)
+        (* route an unvalidated call through [run] so it gets verified *)
         match run t src with
         | Some y ->
             Array.blit y 0 dst 0 (Array.length y);

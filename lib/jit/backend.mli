@@ -4,11 +4,14 @@
     A prepared backend is {e never} a correctness dependency: {!Make.run}
     answers [None] — after recording a [jit.fallback] trace instant whose
     first argument is a reason code — whenever the kernel cannot be used,
-    and the caller keeps its OCaml path as the fallback.  The first
-    successful run per prepared backend is verified against the OCaml
-    serial reference on the caller's own input — bitwise, except that
-    any NaN agrees with any NaN (see {!Make.run}); a mismatch poisons
-    the kernel permanently. *)
+    and the caller keeps its OCaml path as the fallback.  Until a
+    prepared backend is validated, each run is verified against the
+    OCaml serial reference on the caller's own input — bitwise, except
+    that any NaN agrees with any NaN (see {!Make.run}); a mismatch
+    poisons the kernel permanently.  A match validates it only on an
+    input of at least [max (taps - 1) k + k + 1] elements, long enough
+    for the steady-state loop to run [k + 1] outputs on feedback it
+    wrote itself; a shorter match leaves the kernel unchecked. *)
 
 (** {1 Fallback reason codes} (the [jit.fallback] instant's [a0]) *)
 
@@ -28,7 +31,7 @@ val reason_building : int
 (** Async build still in flight. *)
 
 val reason_poisoned : int
-(** First-use verification failed. *)
+(** A verification before validation failed. *)
 
 val reason_to_string : int -> string
 
@@ -67,25 +70,26 @@ module Make (S : Plr_util.Scalar.S) : sig
       kernel; a long call delays the other domains' stop-the-world
       collections by its length.
       [Some y] is bitwise-identical to [Serial.full] (guaranteed by
-      construction and checked on first use), except that a NaN output
+      construction and checked until validated), except that a NaN output
       may differ from the reference's NaN in sign and payload: where two
       NaNs meet in an add, the C compiler's operand order decides which
-      one propagates.  The first-use check takes any NaN for any NaN and
-      every other value by its bits.  [None] means fall back. *)
+      one propagates.  The check takes any NaN for any NaN and every
+      other value by its bits.  [None] means fall back. *)
 
   val run_into : t -> src:S.t array -> dst:S.t array -> bool
   (** {!run} into the first [Array.length src] elements of the
       caller-allocated [dst], with no output allocated ([false] whenever
-      {!run} would answer [None]).  The first call routes through the
-      verifier.  [dst] must not overlap [src]: a [dst] shorter than
-      [src], or [src] itself when not empty, raises [Invalid_argument]
-      ({!Plr_serial.Serial.check_into}) before the kernel runs. *)
+      {!run} would answer [None]).  Until the kernel is validated, a
+      call routes through the verifier.  [dst] must not overlap [src]: a
+      [dst] shorter than [src], or [src] itself when not empty, raises
+      [Invalid_argument] ({!Plr_serial.Serial.check_into}) before the
+      kernel runs. *)
 
   val run_chunked : t -> m:int -> S.t array -> S.t array option
   (** The §3 two-phase chunked kernel with per-class specialized
       correction sweeps, at chunk size [m] (clamped to the factor-table
       length), bridged through Bigarray copies.  Exposed for tests and
-      demos; not verified-on-first-use — dispatch goes through {!run}. *)
+      demos; never verified — dispatch goes through {!run}. *)
 
   val source : t -> string
   val state : t -> Jit.state

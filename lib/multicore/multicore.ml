@@ -11,14 +11,14 @@ module Opts = Plr_factors.Opts
 
 let faulted_lookback_window = Lookback.faulted_lookback_window
 
+(* CPU chunks are orders of magnitude longer than a GPU block's, so the
+   O(m·period) repetition search is bounded; 64 matches the longest 0/1
+   period the code generator folds. *)
+let cpu_max_period = 64
+
 module Make (S : Plr_util.Scalar.S) = struct
   module FP = Plr_factors.Factor_plan.Make (S)
   module Serial = Plr_serial.Serial.Make (S)
-
-  (* CPU chunks are orders of magnitude longer than a GPU block's, so the
-     O(m·period) repetition search is bounded; 64 matches the longest 0/1
-     period the code generator folds. *)
-  let cpu_max_period = 64
 
   let default_chunk_size = Lookback.default_chunk_size
 

@@ -50,6 +50,12 @@ exception Fault_detected of string
 val faulted_lookback_window : int
 (** {!Plr_exec.Lookback.faulted_lookback_window}. *)
 
+val cpu_max_period : int
+(** The bound on the repetition search ([max_period] of
+    {!Plr_factors.Factor_plan.Make.of_feedback}) that {!Make.run} compiles
+    its own factor plans with.  A caller that precompiles a [plan] with it
+    gets the exact plan the engine would have built. *)
+
 module Make (S : Plr_util.Scalar.S) : sig
   val default_chunk_size : domains:int -> int -> int
   (** {!Plr_exec.Lookback.default_chunk_size}: the chunk size [run] uses

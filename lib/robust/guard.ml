@@ -276,8 +276,8 @@ module Make (S : Plr_util.Scalar.S) = struct
   (* Try the native JIT kernel first; any unavailability (still building,
      build failed, poisoned, …) already recorded its [jit.fallback]
      instant inside [JB.run], so this simply hands the input to the OCaml
-     fallback runner.  The JIT's own first-use bitwise validation against
-     the serial reference runs before the guard's check ladder ever sees
+     fallback runner.  The JIT's own bitwise validation against the
+     serial reference runs before the guard's check ladder ever sees
      its output. *)
   let jit_runner ~jit ~(fallback : runner) : runner =
    fun s input ->

@@ -105,8 +105,8 @@ module Make (S : Plr_util.Scalar.S) : sig
   val jit_runner : jit:JB.t -> fallback:runner -> runner
   (** Try the native JIT kernel first, handing the input to [fallback]
       whenever it is unavailable (still building, build failed, poisoned
-      by its first-use bitwise validation, …) — the [jit.fallback] trace
-      instant is recorded by the backend itself.  A JIT result is already
+      by its bitwise validation, …) — the [jit.fallback] trace instant
+      is recorded by the backend itself.  A JIT result is already
       bitwise-identical to the serial reference by construction, so the
       guard's check ladder passes it untouched. *)
 

@@ -286,10 +286,6 @@ module Make (S : Plr_util.Scalar.S) = struct
     else Atomic.incr home.pooled_home;
     sh
 
-  (* Matches the multicore backend's bound so a cache hit compiles to the
-     exact plan the engine would have built for itself. *)
-  let cpu_max_period = 64
-
   let compile_entry t (s : S.t Signature.t) =
     let cfg = t.config in
     let k = Signature.order s in
@@ -298,7 +294,8 @@ module Make (S : Plr_util.Scalar.S) = struct
        uses, so [Multicore.run] never recompiles it. *)
     let m = max (max 1 k) cfg.chunk_size in
     let plan =
-      FP.of_feedback ~opts:cfg.opts ~max_period:cpu_max_period
+      FP.of_feedback ~opts:cfg.opts
+        ~max_period:Plr_multicore.Multicore.cpu_max_period
         ~feedback:s.Signature.feedback ~m ()
     in
     (* The cached backend choice: a signature whose factors provably
@@ -434,7 +431,7 @@ module Make (S : Plr_util.Scalar.S) = struct
     y
 
   (* A ready JIT kernel answers first: its output is verified
-     bitwise-identical to [Serial.full] on first use. *)
+     bitwise-identical to [Serial.full] until a use validates it. *)
   let try_jit t jit x =
     match jit with
     | None -> None

@@ -141,6 +141,11 @@ module Sweep (S : Scalar.S) = struct
         (match JB.state jb with
         | Plr_jit.Jit.Failed e -> Alcotest.failf "JIT build failed: %s" e
         | _ -> ());
+        (* a checked use validates once it ran k + 1 outputs past the
+           prologue; a shorter one leaves the kernel unchecked *)
+        let k = Signature.order s in
+        let validates_at = max (Signature.fir_taps s - 1) k + k + 1 in
+        let validated = ref false in
         List.iter
           (fun n ->
             let x = random_input g n in
@@ -153,7 +158,8 @@ module Sweep (S : Scalar.S) = struct
             (match JB.run jb x with
             | Some y -> check_bitwise ~what:(what ^ " jit vs serial") expected y
             | None -> Alcotest.failf "%s: jit unavailable" what);
-            check_bool (what ^ " validated after first use") true
+            validated := !validated || n >= validates_at;
+            check_bool (what ^ " validated once long enough") !validated
               (JB.validated jb);
             let dst = Array.make n S.zero in
             check_bool (what ^ " run_into answers") true
@@ -381,12 +387,21 @@ let test_compile_failure_degrades () =
 let test_mismatch_poisons () =
   skip_without_cc ();
   (* a kernel for a DIFFERENT signature: builds and runs fine, but its
-     output cannot match the reference — first use must poison it *)
+     output cannot match the reference — a checked use must poison it *)
   let other = int_sig [| 1 |] [| 2 |] in
   let fplan = JBi.F.of_feedback ~feedback:other.Signature.feedback ~m:64 () in
   let wrong_source = JBi.C.emit ~fplan other in
   let jb = JBi.prepare_source ~mode:`Sync ~source:wrong_source prefix_sum in
-  check_bool "mismatching kernel rejected on first use" true
+  (* First uses too short to reach the steady-state loop (prologue 1,
+     then k + 1 = 2 outputs) agree with the reference, and must not
+     validate the kernel. *)
+  List.iter
+    (fun x ->
+      let what = Printf.sprintf "first use on %d elements" (Array.length x) in
+      check_bool (what ^ " answers") true (JBi.run jb x = Some x);
+      check_bool (what ^ " does not validate") false (JBi.validated jb))
+    [ [||]; [| 1 |] ];
+  check_bool "mismatching kernel rejected on a long enough use" true
     (JBi.run jb [| 1; 1; 1; 1; 1; 1 |] = None);
   check_bool "kernel poisoned" true (JBi.poisoned jb);
   check_bool "stays rejected" true (JBi.run jb [| 1; 2; 3 |] = None)

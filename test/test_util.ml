@@ -1,5 +1,6 @@
 (* Tests for the plr_util substrate: float32 emulation, scalar instances,
-   polynomials, small matrices, and the deterministic PRNG. *)
+   polynomials, small matrices, the deterministic PRNG, atomic file
+   writes and the allocation policy. *)
 
 module F32 = Plr_util.F32
 module Scalar = Plr_util.Scalar
@@ -212,6 +213,54 @@ let test_fileio_atomic () =
   Sys.remove path;
   Unix.rmdir dir
 
+(* ---------------------------------------------------------------- alloc *)
+
+let skip_because reason =
+  Printf.printf "skipped: %s\n" reason;
+  Alcotest.skip ()
+
+(* The process's minor page faults so far: field 10 of /proc/self/stat,
+   counted after the command name's closing parenthesis, since the name
+   may hold spaces.  [None] where the file cannot be read. *)
+let minor_faults () =
+  match open_in "/proc/self/stat" with
+  | exception Sys_error _ -> None
+  | ic -> (
+      let line =
+        Fun.protect ~finally:(fun () -> close_in ic) (fun () -> input_line ic)
+      in
+      let after = String.rindex line ')' + 2 in
+      let fields =
+        String.split_on_char ' '
+          (String.sub line after (String.length line - after))
+      in
+      match List.nth_opt fields 7 with
+      | Some f -> int_of_string_opt f
+      | None -> None)
+
+(* This suite creates no pool: the policy holds from start-up alone.  A
+   second 2^22-element output, made after the first was collected,
+   reuses the first one's pages instead of faulting in 8192 fresh ones. *)
+let test_alloc_policy () =
+  (match Plr_util.Alloc.status with
+  | Plr_util.Alloc.Applied -> ()
+  | Plr_util.Alloc.Refused -> Alcotest.fail "glibc refused the policy"
+  | Plr_util.Alloc.Not_glibc -> skip_because "not built against glibc");
+  let n = 1 lsl 22 in
+  let pages = n * 8 / 4096 in
+  Gc.full_major ();
+  ignore (Sys.opaque_identity (Array.make n 0));
+  Gc.full_major ();
+  match minor_faults () with
+  | None -> skip_because "/proc/self/stat cannot be read"
+  | Some before ->
+      let second = Sys.opaque_identity (Array.make n 0) in
+      let faults = Option.get (minor_faults ()) - before in
+      check_int "second output's length" n (Array.length second);
+      if faults * 100 >= pages then
+        Alcotest.failf "the second output took %d minor faults over %d pages"
+          faults pages
+
 let () =
   Alcotest.run "plr_util"
     [
@@ -253,4 +302,9 @@ let () =
         ] );
       ( "fileio",
         [ Alcotest.test_case "atomic write" `Quick test_fileio_atomic ] );
+      ( "alloc",
+        [
+          Alcotest.test_case "freed output pages are reused" `Quick
+            test_alloc_policy;
+        ] );
     ]
